@@ -41,11 +41,9 @@ from .regularity import (
 from .solver import (
     SolveConfig,
     Trajectory,
-    read_trajectory,
     solve_anisotropic_batch,
     solve_linear_constant,
     solve_nonlinear,
-    write_trajectory,
 )
 from .harness import ExperimentConfig, RunReport, run_experiment
 
@@ -63,7 +61,7 @@ __all__ = [
     "ModellingReport", "RegularityParams", "baseline_remainder", "flux_mismatch",
     "holder_seminorm", "increment_affine_pair", "increment_constant",
     "modelling_remainder", "time_term_constant",
-    "SolveConfig", "Trajectory", "read_trajectory", "solve_anisotropic_batch",
-    "solve_linear_constant", "solve_nonlinear", "write_trajectory",
+    "SolveConfig", "Trajectory", "solve_anisotropic_batch",
+    "solve_linear_constant", "solve_nonlinear",
     "ExperimentConfig", "RunReport", "run_experiment",
 ]

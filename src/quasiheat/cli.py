@@ -52,10 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, experiment: str) -> ExperimentConfig:
     if args.config:
-        cfg = ExperimentConfig.from_json_file(args.config)
-        if experiment != "validate-config" and cfg.experiment != experiment:
-            cfg.experiment = experiment
-            cfg.__post_init__()
+        cfg = ExperimentConfig.from_json_file(
+            args.config, None if experiment == "validate-config" else experiment
+        )
     else:
         cfg = ExperimentConfig(
             experiment=experiment if experiment != "validate-config" else "noise-diag"

@@ -6,7 +6,10 @@ Two closely related problems back the regularity estimators:
   residuals over a finite point set, i.e. the center of the minimum
   enclosing ball.  Solved in closed form for d = 1 and by the randomized
   incremental (Welzl-style) algorithm for d = 2, made deterministic by a
-  fixed-key shuffle.
+  fixed-key shuffle.  The three nested loops scan for the next point
+  outside the circle in vectorized chunks and build all candidate
+  circumcentres at once, bit-identical to per-point loops: distances within
+  a few ulp of the threshold are re-tested with math.hypot.
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
   over samples.  The fit is a small dense LP (variables: model coefficients
@@ -60,55 +63,59 @@ def chebyshev_center(points) -> tuple:
 def _min_enclosing_circle(pts: np.ndarray) -> tuple:
     rng = Generator(Philox(key=np.array([0x6D65623, 0], dtype=np.uint64)))
     order = rng.permutation(len(pts))
-    shuffled = [tuple(pts[i]) for i in order]
-    c = None
-    for i, p in enumerate(shuffled):
-        if c is None or not _in_circle(c, p):
-            c = _circle_one_point(shuffled[: i + 1], p)
+    xs = np.ascontiguousarray(pts[order, 0])
+    ys = np.ascontiguousarray(pts[order, 1])
+    c = _circle_one_point(xs, ys, 1, 0)
+    i = _first_outside(xs, ys, 1, len(xs), c)
+    while i < len(xs):
+        c = _circle_one_point(xs, ys, i + 1, i)
+        i = _first_outside(xs, ys, i + 1, len(xs), c)
     return c
 
 
-def _circle_one_point(points, p):
+def _circle_one_point(xs, ys, k, ip):
+    """Smallest circle through point ip enclosing the first k points."""
+    p = (xs[ip], ys[ip])
     c = (p[0], p[1], 0.0)
-    for i, q in enumerate(points):
-        if not _in_circle(c, q):
-            if c[2] == 0.0:
-                c = _diameter(p, q)
-            else:
-                c = _circle_two_points(points[: i + 1], p, q)
+    j = _first_outside(xs, ys, 0, k, c)
+    while j < k:
+        q = (xs[j], ys[j])
+        if c[2] == 0.0:
+            c = _diameter(p, q)
+        else:
+            c = _circle_two_points(xs, ys, j + 1, p, q)
+        j = _first_outside(xs, ys, j + 1, k, c)
     return c
 
 
-def _circle_two_points(points, p, q):
+def _circle_two_points(xs, ys, k, p, q):
+    """Smallest circle through p and q enclosing the first k points.
+
+    Of the points outside the p-q diameter circle, the circumcircle whose
+    centre lies farthest left (right) of p->q is the first maximum (minimum)
+    of the centre's cross product, as a strict-comparison scan keeps it.
+    """
     circ = _diameter(p, q)
-    left = None
-    right = None
+    idx = _outside(xs[:k], ys[:k], circ).nonzero()[0]
+    if idx.size == 0:
+        return circ
+    rx, ry = xs[idx], ys[idx]
     px, py = p
     qx, qy = q
-    for r in points:
-        if _in_circle(circ, r):
-            continue
-        cross = _cross(px, py, qx, qy, r[0], r[1])
-        c = _circumcircle(p, q, r)
-        if c is None:
-            continue
-        if cross > 0.0 and (
-            left is None
-            or _cross(px, py, qx, qy, c[0], c[1]) > _cross(px, py, qx, qy, left[0], left[1])
-        ):
-            left = c
-        elif cross < 0.0 and (
-            right is None
-            or _cross(px, py, qx, qy, c[0], c[1]) < _cross(px, py, qx, qy, right[0], right[1])
-        ):
-            right = c
-    if left is None and right is None:
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    ccx, ccy, ok = _circumcentres(p, q, rx, ry)
+    ccross = (qx - px) * (ccy - py) - (qy - py) * (ccx - px)
+    sides = []
+    for sign, side in ((1.0, ok & (cross > 0.0)), (-1.0, ok & (cross < 0.0))):
+        cand = side.nonzero()[0]
+        if cand.size:
+            j = cand[_first_max(sign * ccross[cand])]
+            x, y = ccx[j], ccy[j]
+            r = max(math.hypot(x - px, y - py), math.hypot(x - qx, y - qy), math.hypot(x - rx[j], y - ry[j]))
+            sides.append((x, y, r))
+    if not sides:
         return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+    return sides[0] if len(sides) == 1 or sides[0][2] <= sides[1][2] else sides[1]
 
 
 def _diameter(a, b):
@@ -118,30 +125,66 @@ def _diameter(a, b):
     return (cx, cy, r)
 
 
-def _circumcircle(a, b, c):
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2
+def _first_max(v):
+    """Index that ``best = 0; best = j if v[j] > v[best]`` ends on."""
+    if np.isnan(v[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(v), -np.inf, v)))
+
+
+def _circumcentres(a, b, xs, ys):
+    """Centres of the circles through a, b and each (xs, ys), computed in
+    coordinates shifted to the bounding-box midpoint; ``ok`` flags the
+    non-collinear triples.  Each IEEE operation matches the scalar
+    construction (np.minimum may pick the other signed zero than min(),
+    but only when all three coordinates are zero, where d == 0)."""
+    ox = (np.minimum(min(a[0], b[0]), xs) + np.maximum(max(a[0], b[0]), xs)) / 2
+    oy = (np.minimum(min(a[1], b[1]), ys) + np.maximum(max(a[1], b[1]), ys)) / 2
     ax, ay = a[0] - ox, a[1] - oy
     bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
+    cx, cy = xs - ox, ys - oy
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-    r = max(math.hypot(x - a[0], y - a[1]), math.hypot(x - b[0], y - b[1]), math.hypot(x - c[0], y - c[1]))
-    return (x, y, r)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
+        y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
+    return x, y, d != 0.0
 
 
 _EPS_IN = 1.0 + 1e-12
 
 
-def _in_circle(c, p) -> bool:
-    return c is not None and math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _EPS_IN
+# np.hypot and math.hypot may differ in the last ulp; distances this close
+# (relative) to the threshold are re-tested with math.hypot
+_HYPOT_BAND = 8 * np.finfo(float).eps
 
 
-def _cross(x0, y0, x1, y1, x2, y2) -> float:
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+def _outside(xs, ys, c) -> np.ndarray:
+    """Mask of points with math.hypot(p - centre) > r * _EPS_IN."""
+    cx, cy, r = c
+    dx, dy = xs - cx, ys - cy
+    h = np.hypot(dx, dy)
+    thr = r * _EPS_IN
+    out = h > thr
+    near = np.abs(h - thr) <= _HYPOT_BAND * thr + 1e-300
+    if near.any():
+        for j in near.nonzero()[0]:
+            out[j] = not math.hypot(dx[j], dy[j]) <= thr
+    return out
+
+
+def _first_outside(xs, ys, start, stop, c) -> int:
+    """Index of the first point in [start, stop) outside c, else stop;
+    scans growing chunks, as the next outside point is usually near."""
+    size = 64
+    while start < stop:
+        end = min(start + size, stop)
+        out = _outside(xs[start:end], ys[start:end], c)
+        j = int(out.argmax())
+        if out[j]:
+            return start + j
+        start = end
+        size *= 2
+    return stop
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,8 @@ callers keeping their analysis windows away from the seam.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -180,17 +177,22 @@ class SpaceTimeField:
         return self.values[(it,) + self.node_index(x)]
 
 
-def increment(f: SpaceTimeField, y) -> SpaceTimeField:
-    """Spatial increment f(t, x+y) - f(t, x) for a lattice shift y."""
+def _lattice_steps(grid: GridSpec, y) -> np.ndarray:
+    """Integer node steps of a lattice shift y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (f.grid.dim,):
-        raise GridError(f"shift must have {f.grid.dim} components")
-    steps = y / f.grid.dx
+    if y.shape != (grid.dim,):
+        raise GridError(f"shift must have {grid.dim} components")
+    steps = y / grid.dx
     s = np.round(steps).astype(int)
     if np.max(np.abs(steps - s)) > 1e-9:
         raise GridError(f"shift {y} is not a lattice vector")
+    return s
+
+
+def increment(f: SpaceTimeField, y) -> SpaceTimeField:
+    """Spatial increment f(t, x+y) - f(t, x) for a lattice shift y."""
     shifted = f.values
-    for axis, si in enumerate(s):
+    for axis, si in enumerate(_lattice_steps(f.grid, y)):
         if si:
             shifted = np.roll(shifted, -int(si), axis=1 + axis)
     return SpaceTimeField(f.grid, f.times, shifted - f.values)
@@ -259,10 +261,6 @@ class CylinderSamples:
     def n_samples(self) -> int:
         return self.values.shape[0] * self.values.shape[1]
 
-    @property
-    def basepoint_value(self):
-        return self.values[-1, self.basepoint_node]
-
     def flat(self) -> tuple:
         """(xrel, values) with time and node axes merged."""
         ts, nn = self.values.shape[:2]
@@ -271,12 +269,48 @@ class CylinderSamples:
         return x.reshape(ts * nn, -1), self.values.reshape((ts * nn,) + comp)
 
 
-def cylinder_samples(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderSamples:
-    """All grid nodes with torus distance < r from x', at snapshots in (t'-r^2, t']."""
+@dataclass(frozen=True)
+class CylinderWindow:
+    """Where a parabolic cylinder sits in a field's snapshot array.
+
+    ``slab`` selects the snapshots in (t'-r^2, t'].  ``box`` holds the
+    torus-wrapped node indices of the bounding box per axis and ``inball``
+    marks the nodes with |x - x'| < r in it.  ``nodes`` indexes those nodes
+    (row-major box order) at signed offsets ``xrel`` from x'.  ``times`` are
+    the slab's times preceded by ``n_below`` zero-extension times below t = 0.
+    """
+
+    n: int
+    slab: slice
+    times: np.ndarray
+    n_below: int
+    box: tuple
+    inball: np.ndarray
+    nodes: tuple
+    xrel: np.ndarray
+    basepoint_node: int
+
+    def take_box(self, values: np.ndarray) -> np.ndarray:
+        """Slab rows of the bounding box, shape (Ts, W[, W], *components)."""
+        return values[self.slab][(slice(None),) + np.ix_(*self.box)]
+
+    def samples(self, values: np.ndarray, steps=None) -> CylinderSamples:
+        """In-ball samples of values, or of values(x + steps*dx) - values(x)."""
+        slab = values[self.slab]
+        vals = slab[(slice(None),) + self.nodes]
+        if steps is not None:
+            shifted = tuple((i + int(s)) % self.n for i, s in zip(self.nodes, steps))
+            vals = slab[(slice(None),) + shifted] - vals
+        if self.n_below > 0:
+            vals = np.concatenate([np.zeros((self.n_below,) + vals.shape[1:]), vals])
+        return CylinderSamples(times=self.times, xrel=self.xrel, values=vals, basepoint_node=self.basepoint_node)
+
+
+def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow:
+    """Snapshot slab and grid nodes with torus distance < r from x'."""
     grid = f.grid
     it = f.time_index(cyl.t)
-    t0 = f.times[it]
-    lo = t0 - cyl.r * cyl.r
+    lo = f.times[it] - cyl.r * cyl.r
     j0 = int(np.searchsorted(f.times, lo + 1e-14, side="right"))
     if j0 > it:
         raise GridError("empty time slab: snapshot cadence insufficient for radius")
@@ -285,22 +319,13 @@ def cylinder_samples(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderSampl
     m = int(math.ceil(cyl.r / grid.dx)) - 1
     offs = np.arange(-m, m + 1)
     if grid.dim == 1:
-        sel = offs * grid.dx
-        keep = np.abs(sel) < cyl.r - 1e-12
-        offs1 = offs[keep]
-        nodes = (node0[0] + offs1) % grid.n
-        xrel = (offs1 * grid.dx).reshape(-1, 1)
-        vals = f.values[j0 : it + 1][:, nodes]
-        bnode = int(np.nonzero(offs1 == 0)[0][0])
+        inball = np.abs(offs * grid.dx) < cyl.r - 1e-12
+        pts = offs[inball].reshape(-1, 1)
     else:
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         pts = np.stack([ox.ravel(), oy.ravel()], axis=1)
-        keep = np.linalg.norm(pts * grid.dx, axis=1) < cyl.r - 1e-12
-        pts = pts[keep]
-        nodes = ((node0[0] + pts[:, 0]) % grid.n, (node0[1] + pts[:, 1]) % grid.n)
-        xrel = pts * grid.dx
-        vals = f.values[j0 : it + 1][:, nodes[0], nodes[1]]
-        bnode = int(np.nonzero((pts == 0).all(axis=1))[0][0])
+        inball = (np.linalg.norm(pts * grid.dx, axis=1) < cyl.r - 1e-12).reshape(ox.shape)
+        pts = pts[inball.ravel()]
 
     times = f.times[j0 : it + 1].copy()
     # zero-extension below t = 0, on the snapshot cadence
@@ -309,10 +334,28 @@ def cylinder_samples(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderSampl
     if f.times[0] <= snap_dt and lo < f.times[0] - snap_dt:
         n_below = int(math.floor((f.times[0] - lo) / snap_dt - 1e-12))
     if n_below > 0:
-        below = f.times[0] - snap_dt * np.arange(n_below, 0, -1)
-        times = np.concatenate([below, times])
-        vals = np.concatenate([np.zeros((n_below,) + vals.shape[1:]), vals])
-    return CylinderSamples(times=times, xrel=xrel, values=vals, basepoint_node=bnode)
+        times = np.concatenate([f.times[0] - snap_dt * np.arange(n_below, 0, -1), times])
+    return CylinderWindow(
+        n=grid.n,
+        slab=slice(j0, it + 1),
+        times=times,
+        n_below=n_below,
+        box=tuple((node0[a] + offs) % grid.n for a in range(grid.dim)),
+        inball=inball,
+        nodes=tuple((node0[a] + pts[:, a]) % grid.n for a in range(grid.dim)),
+        xrel=pts * grid.dx,
+        basepoint_node=int(np.nonzero((pts == 0).all(axis=1))[0][0]),
+    )
+
+
+def cylinder_samples(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderSamples:
+    """All grid nodes with torus distance < r from x', at snapshots in (t'-r^2, t']."""
+    return cylinder_window(f, cyl).samples(f.values)
+
+
+def cylinder_increment(f: SpaceTimeField, cyl: ParabolicCylinder, y) -> CylinderSamples:
+    """``cylinder_samples(increment(f, y), cyl)``, reading only the window."""
+    return cylinder_window(f, cyl).samples(f.values, _lattice_steps(f.grid, y))
 
 
 # ---------------------------------------------------------------------------
@@ -459,54 +502,3 @@ def spectral_gradient(f: SpaceTimeField) -> SpaceTimeField:
         np.fft.irfftn(1j * k[None] * fhat, s=f.grid.shape, axes=axes) for k in ks
     ]
     return SpaceTimeField(f.grid, f.times, np.stack(comps, axis=-1))
-
-
-# ---------------------------------------------------------------------------
-# Snapshot CSV dumps
-# ---------------------------------------------------------------------------
-
-def write_field_csv(f: SpaceTimeField, path) -> None:
-    """One CSV row per (t, node, component), plus a GridSpec JSON sidecar."""
-    path = Path(path)
-    dim = f.grid.dim
-    comp = f.component_shape
-    ncomp = int(np.prod(comp)) if comp else 1
-    flat = f.values.reshape(f.values.shape[: 1 + dim] + (ncomp,))
-    xs = np.arange(f.grid.n) * f.grid.dx
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"x_{i + 1}" for i in range(dim)] + ["component_index", "value"])
-        for it, t in enumerate(f.times):
-            for node in np.ndindex(f.grid.shape):
-                coords = [repr(float(xs[i])) for i in node]
-                for c in range(ncomp):
-                    w.writerow([repr(float(t))] + coords + [c, repr(float(flat[(it,) + node + (c,)]))])
-    sidecar = {"grid": f.grid.to_dict(), "component_shape": list(comp)}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def read_field_csv(path) -> SpaceTimeField:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    grid = GridSpec(**meta["grid"])
-    comp = tuple(meta["component_shape"])
-    ncomp = int(np.prod(comp)) if comp else 1
-    rows = {}
-    with path.open() as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            t = float(row[0])
-            node = tuple(int(round(float(v) * grid.n)) for v in row[1 : 1 + grid.dim])
-            c = int(row[1 + grid.dim])
-            rows.setdefault(t, {})[node + (c,)] = float(row[2 + grid.dim])
-    times = np.array(sorted(rows))
-    values = np.zeros((len(times),) + grid.shape + (ncomp,))
-    for it, t in enumerate(times):
-        for key, v in rows[t].items():
-            values[(it,) + key] = v
-    if not comp:
-        values = values[..., 0]
-    else:
-        values = values.reshape(values.shape[: 1 + grid.dim] + comp)
-    return SpaceTimeField(grid, times, values)

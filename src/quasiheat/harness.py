@@ -127,28 +127,37 @@ class ExperimentConfig:
         return ExperimentConfig(**d)
 
     @staticmethod
-    def from_json_file(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+    def from_json_file(path, experiment: Optional[str] = None) -> "ExperimentConfig":
+        """Load a config file; ``experiment`` replaces the file's experiment
+        before the defaults of the one run are merged into its params."""
+        d = json.loads(Path(path).read_text())
+        if experiment is not None:
+            d["experiment"] = experiment
+        return ExperimentConfig.from_dict(d)
 
     def apply_override(self, dotted: str, value: str) -> None:
-        """Apply a ``section.key=value`` CLI override (JSON-decoded value)."""
+        """Apply a ``section.key=value`` CLI override (JSON-decoded value);
+        the key is validated before anything is written."""
         if "=" in dotted:
             raise ConfigError("pass key and value separately")
         parts = dotted.split(".")
+        if len(parts) > 2:
+            raise ConfigError("overrides support one nesting level")
+        if parts[0] not in self.__dataclass_fields__:
+            raise ConfigError(f"unknown config key {parts[0]!r}")
+        if parts[0] == "experiment":
+            raise ConfigError("the experiment is chosen by the subcommand, not by an override")
+        section = getattr(self, parts[0])
+        if len(parts) == 2 and not isinstance(section, dict):
+            raise ConfigError(f"unknown config section {parts[0]!r}")
         try:
             val = json.loads(value)
         except json.JSONDecodeError:
             val = value
-        target = self
         if len(parts) == 1:
-            setattr(target, parts[0], val)
-            return
-        section = getattr(self, parts[0], None)
-        if not isinstance(section, dict):
-            raise ConfigError(f"unknown config section {parts[0]!r}")
-        section[".".join(parts[1:])] = val
-        if "." in ".".join(parts[1:]):
-            raise ConfigError("overrides support one nesting level")
+            setattr(self, parts[0], val)
+        else:
+            section[parts[1]] = val
 
     # ---- canonical form --------------------------------------------------
 

@@ -30,7 +30,9 @@ from .grid import (
     GridSpec,
     ParabolicCylinder,
     SpaceTimeField,
+    cylinder_increment,
     cylinder_samples,
+    cylinder_window,
     increment,
     lattice_shifts,
     mollify,
@@ -105,30 +107,6 @@ def _comp_abs(diff: np.ndarray, n_lead: int) -> np.ndarray:
 # Hoelder seminorm
 # ---------------------------------------------------------------------------
 
-def _region_box(f: SpaceTimeField, region: ParabolicCylinder):
-    """Bounding-box view (with wrap) of a cylinder plus an in-ball mask."""
-    grid = f.grid
-    it = f.time_index(region.t)
-    lo = f.times[it] - region.r * region.r
-    j0 = int(np.searchsorted(f.times, lo + 1e-14, side="right"))
-    node0 = f.node_index(region.x)
-    m = int(math.ceil(region.r / grid.dx)) - 1
-    offs = np.arange(-m, m + 1)
-    if grid.dim == 1:
-        nodes = (node0[0] + offs) % grid.n
-        box = f.values[j0 : it + 1][:, nodes]
-        mask = (np.abs(offs * grid.dx) < region.r - 1e-12)[None, :] & np.ones(
-            (it + 1 - j0, 1), dtype=bool
-        )
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        nodes = ((node0[0] + ox) % grid.n, (node0[1] + oy) % grid.n)
-        box = f.values[j0 : it + 1][:, nodes[0], nodes[1]]
-        inball = np.hypot(ox * grid.dx, oy * grid.dx) < region.r - 1e-12
-        mask = inball[None] & np.ones((it + 1 - j0, 1, 1), dtype=bool)
-    return box, mask, f.times[j0 : it + 1]
-
-
 def _pair_classes(
     n_space: int, n_time: int, dx: float, snap_dt: float, exhaustive: bool, signed: bool
 ):
@@ -190,7 +168,9 @@ def holder_seminorm(
         mask = None
         n_space = grid.n
     else:
-        vals, mask, _ = _region_box(f, region)
+        win = cylinder_window(f, region)
+        vals = win.take_box(f.values)
+        mask = np.broadcast_to(win.inball, vals.shape[: 1 + dim])
         n_space = vals.shape[1]
     n_time = vals.shape[0]
     if n_time * int(np.prod(vals.shape[1 : 1 + dim])) < 2:
@@ -289,10 +269,9 @@ def increment_constant(
         shifts = lattice_shifts(grid, l, budget=params.y_budget)
         if len(shifts) == 0:
             continue
+        cyl = ParabolicCylinder(t=t0, x=x0, r=float(l))
         for y in shifts:
-            dg = increment(grad_f, y)
-            cyl = ParabolicCylinder(t=t0, x=x0, r=float(l))
-            cs = cylinder_samples(dg, cyl)
+            cs = cylinder_increment(grad_f, cyl, y)
             vals = cs.values if spacetime else cs.values[-1:]
             pts = vals.reshape(-1, vals.shape[-1])
             if grid.dim == 1:
@@ -393,8 +372,7 @@ def increment_affine_pair(
     symmetric affine model on P_2l(z).
     """
     t0, x0 = z
-    dyf = increment(f, y)
-    cs = cylinder_samples(dyf, ParabolicCylinder(t=t0, x=x0, r=float(l)))
+    cs = cylinder_increment(f, ParabolicCylinder(t=t0, x=x0, r=float(l)), y)
     x, v = cs.flat()
     lhs = fit_affine_scalar(x, v).residual
     cs2 = cylinder_samples(grad_f, ParabolicCylinder(t=t0, x=x0, r=2.0 * float(l)))

@@ -29,15 +29,12 @@ which removes time-discretization error from the model side.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, _wavenumbers, read_field_csv, write_field_csv
+from .grid import GridSpec, SpaceTimeField, _wavenumbers
 from .noise import NoisePath
 from .nonlinearity import FrozenCoefficient, Nonlinearity, validate
 
@@ -95,31 +92,6 @@ class Trajectory:
     def gradient_at(self, z) -> np.ndarray:
         t, x = z
         return np.asarray(self.gradient.value_at(t, x))
-
-
-def write_trajectory(traj: Trajectory, directory) -> Path:
-    """Persist snapshots as field CSVs plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_field_csv(traj.state, directory / "state.csv")
-    write_field_csv(traj.gradient, directory / "gradient.csv")
-    manifest = dict(traj.provenance)
-    manifest["config_hash"] = hashlib.sha256(
-        json.dumps(traj.provenance, sort_keys=True).encode()
-    ).hexdigest()[:12]
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
-    return path
-
-
-def read_trajectory(directory) -> Trajectory:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    return Trajectory(
-        state=read_field_csv(directory / "state.csv"),
-        gradient=read_field_csv(directory / "gradient.csv"),
-        provenance=manifest,
-    )
 
 
 def _sym_mu(grid: GridSpec, a: Optional[np.ndarray]) -> np.ndarray:

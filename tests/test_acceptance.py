@@ -74,6 +74,7 @@ def headline(out_dir):
 # 1. linear degeneracy
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_linear_degeneracy(out_dir):
     t0 = time.time()
     worst = 0.0
@@ -105,6 +106,7 @@ def test_criterion_1_linear_degeneracy(out_dir):
 # 2. headline scaling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_2_headline_scaling(headline):
     cfg, report, elapsed = headline
     checks = {c.name: c for c in report.checks}
@@ -152,6 +154,7 @@ def test_criterion_3_noise_statistics(out_dir):
 # 4. solver verification
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_solver_verification():
     t0 = time.time()
     # (a) exact integrator against the closed-form single-mode decay
@@ -370,6 +373,7 @@ def test_criterion_6_minmax_fitting():
 # 7. regularity stability
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_regularity_stability():
     t0 = time.time()
     alpha = 0.75
@@ -425,6 +429,7 @@ def test_criterion_7_regularity_stability():
 # 8. reproducibility
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_reproducibility(out_dir):
     t0 = time.time()
 

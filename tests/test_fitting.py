@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from oracles import (
     exact_affine_scalar_1d,
     exact_affine_scalar_1d_pinned,
 )
+from quasiheat.fitting import _outside
+from welzl_reference import _EPS_IN, _in_circle, min_enclosing_circle
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +65,78 @@ def test_welzl_collinear_points():
     c, r = chebyshev_center(pts)
     assert np.allclose(c, [0.5, 0.0], atol=1e-12)
     assert r == pytest.approx(0.5, abs=1e-12)
+
+
+def assert_matches_scalar_welzl(pts):
+    c, r = chebyshev_center(pts)
+    cx, cy, r_ref = min_enclosing_circle(np.asarray(pts, dtype=float))
+    assert c.tobytes() == np.array([cx, cy]).tobytes()
+    assert np.float64(r).tobytes() == np.float64(r_ref).tobytes()
+
+
+def test_welzl_bitwise_matches_scalar_reference_random():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 5, 17, 64, 65, 300, 2000):
+        assert_matches_scalar_welzl(rng.normal(size=(m, 2)) * rng.uniform(1e-7, 1e3))
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "all_equal", "collinear", "cocircular", "lattice"])
+def test_welzl_bitwise_matches_scalar_reference_degenerate(kind):
+    rng = np.random.default_rng(12)
+    if kind == "duplicates":
+        pts = np.repeat(rng.normal(size=(40, 2)), 5, axis=0)
+    elif kind == "all_equal":
+        pts = np.repeat([[0.3, -1.7]], 50, axis=0)
+    elif kind == "collinear":
+        t = rng.normal(size=200)
+        pts = np.stack([t, 0.3 * t - 2.0], axis=1)
+    elif kind == "cocircular":
+        th = 2 * np.pi * rng.integers(0, 24, size=300) / 24
+        pts = np.stack([np.cos(th), np.sin(th)], axis=1)
+    else:
+        pts = rng.integers(-4, 5, size=(500, 2)) / 64.0
+    assert_matches_scalar_welzl(pts)
+    if kind == "all_equal":
+        assert chebyshev_center(pts)[1] == 0.0
+
+
+def test_welzl_bitwise_matches_scalar_reference_on_eps_boundary():
+    # points within an ulp or two of r * _EPS_IN from the centre, where
+    # np.hypot and math.hypot can disagree in the last bit
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(60, 2))
+    cx, cy, r = min_enclosing_circle(base)
+    th = rng.uniform(0, 2 * np.pi, size=400)
+    rad = r * _EPS_IN * (1.0 + rng.integers(-4, 5, size=400) * np.finfo(float).eps)
+    ring = np.stack([cx + rad * np.cos(th), cy + rad * np.sin(th)], axis=1)
+    assert_matches_scalar_welzl(np.concatenate([base, ring]))
+
+
+def test_outside_scan_agrees_with_math_hypot_where_np_hypot_differs():
+    # thresholds placed exactly between np.hypot and math.hypot of a point:
+    # the vectorized scan must side with the scalar math.hypot test
+    rng = np.random.default_rng(15)
+    cx, cy = 0.25, -0.5
+    pts = rng.normal(size=(20_000, 2)) + [cx, cy]
+    h_np = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+    h_py = np.array([math.hypot(x - cx, y - cy) for x, y in pts])
+    split = 0
+    for j in np.flatnonzero(h_np != h_py)[:100]:
+        lo = min(h_np[j], h_py[j])
+        for r in (lo / _EPS_IN, np.nextafter(lo / _EPS_IN, 0.0), np.nextafter(lo / _EPS_IN, 1.0)):
+            c = (cx, cy, r)
+            expected = not _in_circle(c, pts[j])
+            assert _outside(pts[j : j + 1, 0], pts[j : j + 1, 1], c)[0] == expected
+            split += bool((h_np[j] > r * _EPS_IN) != expected)
+    assert split > 0  # some thresholds really fall between the two hypots
+
+
+def test_welzl_bitwise_matches_scalar_reference_large():
+    # the size increment_constant decimates from (over 20,000 points)
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(25_000, 2)) * 1e-3
+    assert_matches_scalar_welzl(pts)
+    assert_matches_scalar_welzl(pts[:: int(np.ceil(len(pts) / 20_000))])
 
 
 # ---------------------------------------------------------------------------

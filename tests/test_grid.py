@@ -8,14 +8,14 @@ from quasiheat.grid import (
     ParabolicCylinder,
     SpaceTimeField,
     cc_distance,
+    cylinder_increment,
     cylinder_samples,
+    cylinder_window,
     increment,
     mollify,
     mollify_deriv,
-    read_field_csv,
     spectral_gradient,
     torus_distance,
-    write_field_csv,
 )
 
 from oracles import direct_convolution
@@ -290,6 +290,69 @@ def test_cylinder_count_matches_bruteforce_2d():
     assert cs.n_samples == count
 
 
+def random_field(dim, n, n_times, comps=(), seed=0):
+    grid = GridSpec.create(dim, n)
+    times = grid.snapshot_times()[:n_times]
+    rng = np.random.default_rng(seed)
+    return grid, SpaceTimeField(grid, times, rng.normal(size=(n_times,) + grid.shape + comps))
+
+
+def assert_same_samples(a, b):
+    assert a.values.tobytes() == b.values.tobytes() and a.values.shape == b.values.shape
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.xrel.tobytes() == b.xrel.tobytes()
+    assert a.basepoint_node == b.basepoint_node
+
+
+@pytest.mark.parametrize("dim,comps", [(1, ()), (1, (1,)), (2, (2,))])
+def test_cylinder_increment_matches_whole_field_increment(dim, comps):
+    n = 16
+    grid, f = random_field(dim, n, 12, comps)
+    m = 6  # up to the cylinder radius, so windows wrap at both edges
+    if dim == 1:
+        shifts = [(s,) for s in range(-m, m + 1)] + [(n - 1,), (-(n - 1),), (n // 2,)]
+        centres = [0.0, 1 / n, 0.5, (n - 1) / n]
+    else:
+        shifts = [(m, 0), (-m, 0), (0, m), (0, -m), (3, -4), (n - 1, 1 - n), (0, 0)]
+        centres = [(0.0, 0.0), ((n - 1) / n, 0.0), (0.5, (n - 1) / n), (1 / n, 0.5)]
+    # basepoint times at t = 0, inside the zero extension, and late
+    for t_idx in (0, 1, 11):
+        for x0 in centres:
+            for r in (2 * grid.dx, 5 * grid.dx, 7 * grid.dx):
+                cyl = ParabolicCylinder(t=float(f.times[t_idx]), x=x0, r=r)
+                for s in shifts:
+                    y = np.array(s) * grid.dx
+                    ref = cylinder_samples(increment(f, y), cyl)
+                    assert_same_samples(cylinder_increment(f, cyl, y), ref)
+
+
+def test_cylinder_increment_zero_extension_rows():
+    grid, f = random_field(1, 32, 4, seed=1)
+    cyl = ParabolicCylinder(t=float(f.times[1]), x=0.25, r=8 * grid.dx)
+    cs = cylinder_increment(f, cyl, 3 * grid.dx)
+    n_below = int(np.sum(cs.times < 0))
+    assert n_below > 0
+    assert np.all(cs.values[:n_below] == 0.0)
+
+
+def test_cylinder_increment_rejects_off_lattice():
+    grid, f = random_field(1, 16, 3)
+    with pytest.raises(GridError):
+        cylinder_increment(f, ParabolicCylinder(t=0.0, x=0.5, r=4 * grid.dx), 0.3 * grid.dx)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cylinder_window_box_holds_the_samples(dim):
+    grid, f = random_field(dim, 16, 10, seed=2)
+    x0 = 0.0 if dim == 1 else (0.0, 15 / 16)
+    cyl = ParabolicCylinder(t=float(f.times[-1]), x=x0, r=5 * grid.dx)
+    w = cylinder_window(f, cyl)
+    box = w.take_box(f.values)
+    cs = cylinder_samples(f, cyl)
+    assert box.shape[0] == cs.values.shape[0]
+    assert np.array_equal(box[:, w.inball], cs.values)
+
+
 def test_cylinder_radius_bound():
     with pytest.raises(GridError):
         ParabolicCylinder(t=0.5, x=0.5, r=0.5)
@@ -305,7 +368,7 @@ def test_cylinder_requires_resolved_basepoint_time():
 
 
 # ---------------------------------------------------------------------------
-# grid spec + csv
+# grid spec
 # ---------------------------------------------------------------------------
 
 def test_gridspec_validation():
@@ -315,19 +378,6 @@ def test_gridspec_validation():
         GridSpec.create(1, 64, cfl=0.3)
     with pytest.raises(GridError):
         GridSpec(dim=1, n=64, t_end=1.0, dt=1e-4, snap_stride=100)  # cadence too coarse
-
-
-def test_field_csv_roundtrip(tmp_path):
-    grid = GridSpec.create(1, 16)
-    times = grid.snapshot_times()[:3]
-    rng = np.random.default_rng(1)
-    f = SpaceTimeField(grid, times, rng.normal(size=(3, 16, 1)))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    g = read_field_csv(path)
-    assert np.array_equal(g.times, f.times)
-    assert np.array_equal(g.values, f.values)
-    assert g.grid == f.grid
 
 
 def test_field_immutable():

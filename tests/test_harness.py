@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quasiheat.cli import _config_from_args, build_parser
 from quasiheat.cli import main as cli_main
 from quasiheat.grid import GridSpec
 from quasiheat.harness import (
@@ -65,6 +66,38 @@ def test_override_applies(tmp_path):
     assert cfg.params["n_samples"] == 2000
     with pytest.raises(ConfigError):
         cfg.apply_override("nosuch.key", "1")
+
+
+def test_override_validates_before_writing(tmp_path):
+    cfg = noise_cfg(tmp_path)
+    before = cfg.to_dict()
+    with pytest.raises(ConfigError):
+        cfg.apply_override("params.a.b", "1")
+    with pytest.raises(ConfigError):
+        cfg.apply_override("foo", "1")
+    with pytest.raises(ConfigError):
+        cfg.apply_override("seeds.x", "1")
+    with pytest.raises(ConfigError):  # would keep the old experiment's params
+        cfg.apply_override("experiment", '"lemmas"')
+    assert cfg.to_dict() == before
+    assert not hasattr(cfg, "foo")
+
+
+def test_cli_experiment_switch_uses_file_keys_only(tmp_path):
+    raw = {
+        "experiment": "theorem1",
+        "grid": {"dim": 1, "n": 32, "t_end": 1.0, "cfl": 0.25},
+        "params": {"refine": False},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_file = tmp_path / "t.json"
+    cfg_file.write_text(json.dumps(raw))
+    args = build_parser().parse_args(["lemmas", "--config", str(cfg_file)])
+    cfg = _config_from_args(args, "lemmas")
+    assert cfg.experiment == "lemmas"
+    assert "basepoints" not in cfg.params and "slope_margin" not in cfg.params
+    direct = ExperimentConfig.from_dict(dict(raw, experiment="lemmas"))
+    assert cfg.config_hash == direct.config_hash
 
 
 def test_validate_config(tmp_path):

@@ -8,6 +8,8 @@ from quasiheat.grid import (
     ParabolicCylinder,
     SpaceTimeField,
     cylinder_samples,
+    increment,
+    lattice_shifts,
 )
 from quasiheat.nonlinearity import linear_family, sine_family
 from quasiheat.regularity import (
@@ -23,6 +25,7 @@ from quasiheat.regularity import (
 )
 
 from oracles import all_pairs_seminorm, brute_increment_constant, direct_convolution
+from welzl_reference import min_enclosing_circle
 
 
 def static_field(n, fn, times=None, comps=None):
@@ -156,6 +159,43 @@ def test_increment_constant_matches_exhaustive_oracle():
     )
     assert est == pytest.approx(oracle, rel=0.05)
     assert est == pytest.approx(oracle, rel=1e-12)  # budgets cover everything here
+
+
+def whole_field_increment_constant(grad_f, z, params, spacetime):
+    """increment_constant through whole-field increments and scalar Welzl."""
+    t0, x0 = z
+    best = 0.0
+    for l in params.radii:
+        for y in lattice_shifts(grad_f.grid, l, budget=params.y_budget):
+            cs = cylinder_samples(increment(grad_f, y), ParabolicCylinder(t=t0, x=x0, r=float(l)))
+            vals = cs.values if spacetime else cs.values[-1:]
+            pts = vals.reshape(-1, vals.shape[-1])
+            if grad_f.grid.dim == 1:
+                rad = 0.5 * (pts.max() - pts.min())
+            else:
+                if len(pts) > 20_000:
+                    pts = pts[:: int(np.ceil(len(pts) / 20_000))]
+                rad = min_enclosing_circle(pts)[2]
+            best = max(best, float(rad) / float(l) ** (2 * params.alpha))
+    return best
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spacetime", [False, True])
+def test_increment_constant_bitwise_matches_whole_field_reference(dim, spacetime):
+    n = 16
+    grid = GridSpec.create(dim, n)
+    times = grid.snapshot_times()[:12]
+    rng = np.random.default_rng(21)
+    f = SpaceTimeField(grid, times, rng.normal(size=(12,) + grid.shape + (dim,)))
+    reg = RegularityParams.for_grid(grid, 0.75, r_min_factor=2, y_budget=12)
+    x0 = 15 / 16 if dim == 1 else (15 / 16, 0.0)  # windows wrap at the seam
+    for t0 in (float(times[1]), float(times[-1])):  # with and without zero extension
+        z = (t0, x0)
+        est = increment_constant(f, z, reg, spacetime=spacetime)
+        ref = whole_field_increment_constant(f, z, reg, spacetime)
+        assert est > 0.0
+        assert np.float64(est).tobytes() == np.float64(ref).tobytes()
 
 
 # ---------------------------------------------------------------------------

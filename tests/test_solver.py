@@ -154,22 +154,3 @@ def test_dealias_option_runs():
     # the flux is non-polynomial, so the 2/3 mask is a small perturbation
     scale = np.max(np.abs(v.state.values))
     assert np.max(np.abs(u.state.values - v.state.values)) <= 0.1 * scale
-
-
-def test_trajectory_roundtrip(tmp_path):
-    from quasiheat.solver import read_trajectory, write_trajectory
-
-    grid, cfg = setup(n=16)
-    u = solve_linear_constant(cfg, np.array([[0.9]]))
-    small = type(u)(
-        state=type(u.state)(grid, u.state.times[:3], u.state.values[:3]),
-        gradient=type(u.state)(grid, u.gradient.times[:3], u.gradient.values[:3]),
-        provenance=u.provenance,
-    )
-    manifest = write_trajectory(small, tmp_path / "traj")
-    assert manifest.exists()
-    back = read_trajectory(tmp_path / "traj")
-    assert np.array_equal(back.state.values, small.state.values)
-    assert np.array_equal(back.gradient.values, small.gradient.values)
-    assert back.provenance["scheme"] == "exact-ou"
-    assert "config_hash" in back.provenance
