@@ -46,7 +46,7 @@ from .regularity import (
 )
 from .fitting import fit_affine_gradient
 from .grid import ParabolicCylinder, cylinder_samples, lattice_shifts
-from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch, solve_linear_constant, solve_nonlinear
+from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch, solve_nonlinear
 
 
 class ConfigError(ValueError):
@@ -92,6 +92,9 @@ _DEFAULT_PARAMS = {
 }
 
 
+_DEFAULT_REGULARITY = {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -107,12 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        merged = dict(_DEFAULT_PARAMS[self.experiment])
-        merged.update(self.params)
-        self.params = merged
-        reg = {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25}
-        reg.update(self.regularity)
-        self.regularity = reg
+        self.params = _merge_known("params", _DEFAULT_PARAMS[self.experiment], self.params)
+        self.regularity = _merge_known("regularity", _DEFAULT_REGULARITY, self.regularity)
 
     # ---- constructors ----------------------------------------------------
 
@@ -150,6 +149,11 @@ class ExperimentConfig:
         section = getattr(self, parts[0])
         if len(parts) == 2 and not isinstance(section, dict):
             raise ConfigError(f"unknown config section {parts[0]!r}")
+        if parts[0] in ("params", "regularity"):
+            if len(parts) == 1:
+                raise ConfigError(f"override {parts[0]} one key at a time: {parts[0]}.<key>")
+            if parts[1] not in section:
+                raise ConfigError(f"unknown {parts[0]} key {parts[1]!r}; known: {sorted(section)}")
         try:
             val = json.loads(value)
         except json.JSONDecodeError:
@@ -215,10 +219,10 @@ class ExperimentConfig:
         return RegularityParams.for_grid(
             grid,
             alpha=float(self.noise.get("alpha", 0.75)),
-            r_min_factor=int(r.get("r_min_factor", 4)),
-            r_max=float(r.get("r_max", 0.25)),
-            pair_budget=int(r.get("pair_budget", 100_000)),
-            y_budget=int(r.get("y_budget", 16)),
+            r_min_factor=int(r["r_min_factor"]),
+            r_max=float(r["r_max"]),
+            pair_budget=int(r["pair_budget"]),
+            y_budget=int(r["y_budget"]),
         )
 
     def parameter_block(self) -> dict:
@@ -237,6 +241,14 @@ class ExperimentConfig:
             "n": int(self.grid.get("n", 256)),
             "cfl": float(self.grid.get("cfl", 0.25)),
         }
+
+
+def _merge_known(section: str, defaults: dict, given: dict) -> dict:
+    """``defaults`` updated by ``given``; a key without a default is a typo."""
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}; known: {sorted(defaults)}")
+    return {**defaults, **given}
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +418,12 @@ def run_noise_diag(cfg: ExperimentConfig) -> RunReport:
 # theorem1
 # ---------------------------------------------------------------------------
 
+def _model_member(A: Nonlinearity):
+    """The sweep member for u: with constant DA the quasilinear equation is
+    the frozen anisotropic one, so the exact integrator applies to u."""
+    return A.linear_matrix if A.is_linear else A
+
+
 def run_theorem1(cfg: ExperimentConfig) -> RunReport:
     t_start = time.time()
     seeds = _require_seeds(cfg)
@@ -433,13 +451,7 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
         )
         scfg = SolveConfig(grid=grid, path=path, A=A)
         try:
-            if degenerate_linear:
-                # constant DA: the quasilinear equation is exactly the frozen
-                # anisotropic one, so the exact integrator applies to u itself
-                u = solve_linear_constant(scfg, A.linear_matrix)
-            else:
-                u = solve_nonlinear(scfg)
-            v = solve_linear_constant(scfg, None)
+            u, v = solve_anisotropic_batch(scfg, [_model_member(A), None])
         except SolverDivergenceError as exc:
             errors.append({"seed": seed, "error": str(exc)})
             continue
@@ -779,11 +791,7 @@ def run_apriori_sweep(cfg: ExperimentConfig) -> RunReport:
             path = NoisePath(spec, grid)
             scfg = SolveConfig(grid=grid, path=path, A=A)
             try:
-                v = solve_linear_constant(scfg, None)
-                u = (
-                    solve_linear_constant(scfg, A.linear_matrix)
-                    if A.is_linear else solve_nonlinear(scfg)
-                )
+                u, v = solve_anisotropic_batch(scfg, [_model_member(A), None])
             except SolverDivergenceError as exc:
                 failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
                 continue
@@ -831,10 +839,7 @@ def run_apriori_sweep(cfg: ExperimentConfig) -> RunReport:
             spec = cfg.build_noise_spec(seed, sigma=1.0)
             path = NoisePath(spec, grid2)
             scfg = SolveConfig(grid=grid2, path=path, A=A)
-            u2 = (
-                solve_linear_constant(scfg, A.linear_matrix)
-                if A.is_linear else solve_nonlinear(scfg)
-            )
+            (u2,) = solve_anisotropic_batch(scfg, [_model_member(A)])
             su2 = holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
             base = [r for r in rows if r["seed"] == seed and r["sigma"] == 1.0]
             if base:

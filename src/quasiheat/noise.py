@@ -6,7 +6,8 @@ gradient of the linear solution at spatial Hoelder regularity alpha.  Each
 time-step increment is an independent Gaussian field with mode variance
 dt*K_hat(k); increments are never stored but regenerated from a counter-based
 stream keyed by (master_seed, step), so any step can be resampled bit-exactly
-in any order and from any number of workers.
+in any order, and paths built from one spec agree bit for bit.  One path
+object is not thread-safe (see ``NoisePath``); give each thread its own.
 """
 
 from __future__ import annotations
@@ -92,17 +93,28 @@ class NoisePath:
     (master_seed, substeps*j + i).  Solvers running at dt, 2*dt, 4*dt with
     substeps 1, 2, 4 then consume consistently coupled noise, which is what
     the time-refinement studies rely on.
+
+    Each key re-keys one cached ``Philox`` through its state setter (zero
+    counter, empty buffer): the bits of a fresh ``Philox(key=...)`` without
+    its construction cost.  So one path object is not thread-safe.
     """
 
     spec: NoiseSpec
     grid: GridSpec
     substeps: int = 1
     _amp: np.ndarray = field(default=None, repr=False, compare=False)
+    _scaled_amp: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _gen: Generator = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.substeps < 1:
             raise NoiseError("substeps must be >= 1")
-        object.__setattr__(self, "_amp", build_spectrum(self.spec, self.grid))
+        grid = self.grid
+        amp = build_spectrum(self.spec, grid)
+        scale = np.sqrt(grid.dt / self.substeps) * grid.n ** (grid.dim / 2.0)
+        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_scaled_amp", scale * amp)
+        object.__setattr__(self, "_gen", Generator(Philox(key=0)))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -119,17 +131,19 @@ class NoisePath:
         shape = self._amp.shape
         if not self._active(step) or self.spec.sigma == 0.0:
             return np.zeros(shape, dtype=complex)
-        dt_fine = grid.dt / self.substeps
-        scale = np.sqrt(dt_fine) * grid.n ** (grid.dim / 2.0)
+        rfft = np.fft.rfft if grid.dim == 1 else np.fft.rfftn
         out = np.zeros(shape, dtype=complex)
         base = self.substeps * step
         for i in range(self.substeps):
-            rng = Generator(
-                Philox(key=np.array([self.spec.master_seed, base + i], dtype=np.uint64))
-            )
-            w = rng.standard_normal(grid.shape)
-            out += np.fft.rfftn(w)
-        return scale * self._amp * out
+            key = np.array([self.spec.master_seed, base + i], dtype=np.uint64)
+            self._gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            out += rfft(self._gen.standard_normal(grid.shape))
+        return self._scaled_amp * out
 
     def sample_increment(self, step: int) -> SpaceTimeField:
         """The step's increment as a single-snapshot physical field."""

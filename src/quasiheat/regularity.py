@@ -207,14 +207,13 @@ def holder_seminorm(
             if dist == 0.0:
                 continue
             if region is None:
-                shifted = vals
+                # decimate the time axis first, then roll only the kept rows
+                stride = max(1, int(np.ceil((n_time - st) * np.prod(vals.shape[1 : 1 + dim]) / pair_budget)))
+                a = vals[st::stride]
                 for ax, s in enumerate(sv):
                     if s % grid.n:
-                        shifted = np.roll(shifted, -s, axis=1 + ax)
-                a_view = shifted[st:] if st else shifted
-                b_view = vals[: n_time - st] if st else vals
-                stride = max(1, int(np.ceil(a_view.shape[0] * np.prod(a_view.shape[1 : 1 + dim]) / pair_budget)))
-                diff = a_view[::stride] - b_view[::stride]
+                        a = np.roll(a, -s, axis=1 + ax)
+                diff = a - vals[: n_time - st : stride]
                 ratios = _comp_abs(diff, diff.ndim - len(f.component_shape)) / dist**alpha
                 best = max(best, float(ratios.max()))
             else:

@@ -1,6 +1,7 @@
 """Time integration of the quasilinear equation and its linear models.
 
-Three equations share one noise path:
+Three equations share one noise path, and one engine advances any mix of
+them in a single sweep over the steps, fetching each step's increment once:
 
 * nonlinear:   du/dt = div A(grad u) + xi
 * heat:        dv/dt = Lap v + xi
@@ -25,6 +26,12 @@ Constant-coefficient equations use the exact per-mode exponential update
     v_hat <- exp(-mu_k dt) v_hat + dW_hat,   mu_k = k . sym(a) k,
 
 which removes time-discretization error from the model side.
+
+``solve_anisotropic_batch(cfg, members)`` is the entry point: a member is the
+flux ``cfg.A`` (at most one) or a constant coefficient (``None`` is the heat
+model).  ``solve_nonlinear`` and ``solve_linear_constant`` are batches of
+one.  Every member's update is elementwise in Fourier space, so it is bitwise
+the same whether it is advanced alone or beside others.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ class SolveConfig:
     grid: GridSpec
     path: NoisePath
     A: Nonlinearity
-    dealias: bool = False
     scheme: str = "exp"
     initial_state: Optional[np.ndarray] = None
     _validated: bool = field(default=False, repr=False)
@@ -110,197 +116,162 @@ def _sym_mu(grid: GridSpec, a: Optional[np.ndarray]) -> np.ndarray:
     )
 
 
-def _dealias_mask(grid: GridSpec) -> np.ndarray:
-    ks = _wavenumbers(grid)
-    cut = 2.0 * np.pi * (grid.n // 3)
-    if grid.dim == 1:
-        return (np.abs(ks[0]) <= cut).astype(float)
-    return ((np.abs(ks[0]) <= cut) & (np.abs(ks[1]) <= cut)).astype(float)
-
-
 class _Spectral:
-    """Cached FFT helpers for one grid."""
+    """FFT helpers for one grid.
+
+    Transforms act on the trailing d axes, so the components of a gradient
+    or a flux go through one call; d = 1 uses the 1-D transforms.
+    """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.axes = tuple(range(grid.dim))
-        self.ks = _wavenumbers(grid)
+        self.axes = tuple(range(-grid.dim, 0))
+        # i*k per component, stacked along a leading axis
+        self.ik = 1j * np.stack(np.broadcast_arrays(*_wavenumbers(grid)))
 
     def to_hat(self, phys: np.ndarray) -> np.ndarray:
+        if self.grid.dim == 1:
+            return np.fft.rfft(phys)
         return np.fft.rfftn(phys, axes=self.axes)
 
     def to_phys(self, hat: np.ndarray) -> np.ndarray:
+        if self.grid.dim == 1:
+            return np.fft.irfft(hat, n=self.grid.n)
         return np.fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
 
     def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
-        comps = [self.to_phys(1j * k * hat) for k in self.ks]
-        return np.stack(comps, axis=-1)
+        """Gradient with a trailing component axis: a view of one inverse
+        transform of the components stacked along a leading axis."""
+        return np.moveaxis(self.to_phys(self.ik * hat), 0, -1)
 
     def divergence_hat(self, q: np.ndarray) -> np.ndarray:
-        out = None
-        for i, k in enumerate(self.ks):
-            term = 1j * k * self.to_hat(q[..., i])
-            out = term if out is None else out + term
+        qh = self.to_hat(np.moveaxis(q, -1, 0))
+        out = self.ik[0] * qh[0]
+        for i in range(1, self.grid.dim):
+            out = out + self.ik[i] * qh[i]
         return out
 
 
-def _provenance(cfg: SolveConfig, kind: str, extra: dict = None) -> dict:
+def _coeff_matrix(a) -> Optional[np.ndarray]:
+    if isinstance(a, FrozenCoefficient):
+        a = a.matrix
+    return None if a is None else np.atleast_2d(np.asarray(a, dtype=float))
+
+
+def _provenance(cfg: SolveConfig, member, index: int, size: int) -> dict:
     p = {
-        "kind": kind,
-        "scheme": cfg.scheme if kind == "nonlinear" else "exact-ou",
+        "kind": "nonlinear" if member is cfg.A else "linear",
+        "scheme": cfg.scheme if member is cfg.A else "exact-ou",
         "grid": cfg.grid.to_dict(),
         "cfl": cfg.cfl,
         "seed": cfg.path.spec.master_seed,
         "noise": cfg.path.spec.to_dict(),
         "nonlinearity": {"name": cfg.A.name, **cfg.A.params},
-        "dealias": cfg.dealias,
+        "batch_index": index,
+        "batch_size": size,
     }
-    if extra:
-        p.update(extra)
+    if member is not cfg.A:
+        mat = _coeff_matrix(member)
+        p["coefficient"] = mat.tolist() if mat is not None else "identity"
     return p
 
 
-def _initial_hat(cfg: SolveConfig, sp: _Spectral) -> np.ndarray:
-    if cfg.initial_state is None:
-        return sp.to_hat(np.zeros(cfg.grid.shape))
-    return sp.to_hat(np.asarray(cfg.initial_state, dtype=float))
+def _sweep(cfg: SolveConfig, members: Sequence) -> List[Trajectory]:
+    """Advance every member on ``cfg.path`` in one pass over the steps.
 
-
-def _alloc(grid: GridSpec) -> tuple:
-    n_snap = grid.n_steps // grid.snap_stride + 1
-    state = np.empty((n_snap,) + grid.shape)
-    grad = np.empty((n_snap,) + grid.shape + (grid.dim,))
-    return state, grad
-
-
-def solve_nonlinear(cfg: SolveConfig) -> Trajectory:
-    """Advance the quasilinear equation from rest on the configured path."""
+    The flux member (if any) takes the ``exp``/``imex`` step of the module
+    docstring; the constant-coefficient members are stacked along a leading
+    axis and take the exact per-mode update.  Each member writes its own
+    snapshot arrays, allocated once.
+    """
+    if len(members) == 0:
+        return []
     grid = cfg.grid
-    sp = _Spectral(grid)
-    mu0 = _sym_mu(grid, None)
-    decay = np.exp(-mu0 * grid.dt)
-    rational = 1.0 / (1.0 + mu0 * grid.dt)
-    mask = _dealias_mask(grid) if cfg.dealias else None
     dt = grid.dt
-    exp_scheme = cfg.scheme == "exp"
+    sp = _Spectral(grid)
+    flux = [i for i, m in enumerate(members) if isinstance(m, Nonlinearity)]
+    if len(flux) > 1 or any(members[i] is not cfg.A for i in flux):
+        raise SolverError("a sweep advances at most one flux member, and it must be cfg.A")
+    linear = [i for i in range(len(members)) if i not in flux]
+    slot = {i: k for k, i in enumerate(linear)}  # member -> row of the linear stack
 
-    uh = _initial_hat(cfg, sp)
-    state, grad = _alloc(grid)
-    state[0], grad[0] = sp.to_phys(uh), sp.gradient_phys(uh)
+    mu0 = _sym_mu(grid, None)
+    decay0 = np.exp(-mu0 * dt)
+    rational = 1.0 / (1.0 + mu0 * dt)
+    exp_scheme = cfg.scheme == "exp"
+    if linear:
+        decay = np.stack([np.exp(-_sym_mu(grid, _coeff_matrix(members[i])) * dt) for i in linear])
+
+    if cfg.initial_state is None:
+        h0 = sp.to_hat(np.zeros(grid.shape))
+    else:
+        h0 = sp.to_hat(np.asarray(cfg.initial_state, dtype=float))
+    uh = h0
+    vh = np.empty((len(linear),) + h0.shape, dtype=complex)
+    vh[:] = h0
+
+    n_snap = grid.n_steps // grid.snap_stride + 1
+    states = [np.empty((n_snap,) + grid.shape) for _ in members]
+    grads = [np.empty((n_snap,) + grid.shape + (grid.dim,)) for _ in members]
+
+    def snapshot(row: int) -> None:
+        for i, (state, grad) in enumerate(zip(states, grads)):
+            hat = vh[slot[i]] if i in slot else uh
+            state[row] = sp.to_phys(hat)
+            grad[row] = sp.gradient_phys(hat)
+
+    snapshot(0)
     row = 1
     for step in range(grid.n_steps):
-        g = sp.gradient_phys(uh)
-        q = cfg.A.ev(g) - g
-        nh = sp.divergence_hat(q)
-        if mask is not None:
-            nh = nh * mask
+        if flux:
+            g = sp.gradient_phys(uh)
+            nh = sp.divergence_hat(cfg.A.ev(g) - g)
         dw = cfg.path.increment_hat(step)
-        if exp_scheme:
-            uh = decay * (uh + dt * nh) + dw
-        else:
-            uh = (uh + dt * nh + dw) * rational
+        if flux:
+            if exp_scheme:
+                uh = decay0 * (uh + dt * nh) + dw
+            else:
+                uh = (uh + dt * nh + dw) * rational
+        if linear:
+            np.multiply(decay, vh, out=vh)
+            vh += dw
         if (step + 1) % grid.snap_stride == 0:
-            state[row] = sp.to_phys(uh)
-            grad[row] = sp.gradient_phys(uh)
-            if not np.all(np.isfinite(state[row])):
+            snapshot(row)
+            if not all(np.all(np.isfinite(state[row])) for state in states):
                 raise SolverDivergenceError(step)
             row += 1
 
     times = grid.snapshot_times()
-    return Trajectory(
-        SpaceTimeField(grid, times, state),
-        SpaceTimeField(grid, times, grad),
-        _provenance(cfg, "nonlinear"),
-    )
+    return [
+        Trajectory(
+            SpaceTimeField(grid, times, state),
+            SpaceTimeField(grid, times, grad),
+            _provenance(cfg, member, i, len(members)),
+        )
+        for i, (member, state, grad) in enumerate(zip(members, states, grads))
+    ]
 
 
-def _coeff_matrix(a) -> Optional[np.ndarray]:
-    if a is None:
-        return None
-    if isinstance(a, FrozenCoefficient):
-        return np.asarray(a.matrix)
-    return np.atleast_2d(np.asarray(a, dtype=float))
+def solve_anisotropic_batch(
+    cfg: SolveConfig,
+    members: Sequence[Union[Nonlinearity, FrozenCoefficient, np.ndarray, None]],
+) -> List[Trajectory]:
+    """One sweep over the steps advancing every member on one noise path.
+
+    A member is the flux ``cfg.A`` (at most one), a constant coefficient
+    (``FrozenCoefficient`` or matrix), or ``None`` for the heat model.  Each
+    increment is made once per step and shared, and every member is bitwise
+    identical to a run of it alone.
+    """
+    return _sweep(cfg, members)
+
+
+def solve_nonlinear(cfg: SolveConfig) -> Trajectory:
+    """Advance the quasilinear equation from rest on the configured path."""
+    return _sweep(cfg, [cfg.A])[0]
 
 
 def solve_linear_constant(cfg: SolveConfig, a=None) -> Trajectory:
     """Exact-exponential (per-mode OU) solve of the constant-coefficient
     equation; ``a=None`` gives the plain heat model."""
-    grid = cfg.grid
-    sp = _Spectral(grid)
-    mat = _coeff_matrix(a)
-    decay = np.exp(-_sym_mu(grid, mat) * grid.dt)
-    vh = _initial_hat(cfg, sp)
-    state, grad = _alloc(grid)
-    state[0], grad[0] = sp.to_phys(vh), sp.gradient_phys(vh)
-    row = 1
-    for step in range(grid.n_steps):
-        vh = decay * vh + cfg.path.increment_hat(step)
-        if (step + 1) % grid.snap_stride == 0:
-            state[row] = sp.to_phys(vh)
-            grad[row] = sp.gradient_phys(vh)
-            if not np.all(np.isfinite(state[row])):
-                raise SolverDivergenceError(step)
-            row += 1
-    times = grid.snapshot_times()
-    extra = {"coefficient": (mat.tolist() if mat is not None else "identity")}
-    return Trajectory(
-        SpaceTimeField(grid, times, state),
-        SpaceTimeField(grid, times, grad),
-        _provenance(cfg, "linear", extra),
-    )
-
-
-def solve_anisotropic_batch(
-    cfg: SolveConfig, coefficients: Sequence[Union[FrozenCoefficient, np.ndarray]]
-) -> List[Trajectory]:
-    """One sweep over the steps updating every frozen-coefficient model.
-
-    Each noise increment is regenerated once and broadcast across the batch;
-    per-mode updates are elementwise, so each batch member is bitwise
-    identical to a ``solve_linear_constant`` run with its coefficient.
-    """
-    if len(coefficients) == 0:
-        return []
-    grid = cfg.grid
-    sp = _Spectral(grid)
-    mats = [_coeff_matrix(a) for a in coefficients]
-    decay = np.stack([np.exp(-_sym_mu(grid, m) * grid.dt) for m in mats])
-    nb = len(mats)
-    vh = np.zeros((nb,) + decay.shape[1:], dtype=complex)
-    if cfg.initial_state is not None:
-        vh[:] = _initial_hat(cfg, sp)[None]
-
-    n_snap = grid.n_steps // grid.snap_stride + 1
-    states = np.empty((nb, n_snap) + grid.shape)
-    grads = np.empty((nb, n_snap) + grid.shape + (grid.dim,))
-    for i in range(nb):
-        states[i, 0] = sp.to_phys(vh[i])
-        grads[i, 0] = sp.gradient_phys(vh[i])
-    row = 1
-    for step in range(grid.n_steps):
-        dw = cfg.path.increment_hat(step)
-        vh = decay * vh + dw[None]
-        if (step + 1) % grid.snap_stride == 0:
-            for i in range(nb):
-                states[i, row] = sp.to_phys(vh[i])
-                grads[i, row] = sp.gradient_phys(vh[i])
-            if not np.all(np.isfinite(states[:, row])):
-                raise SolverDivergenceError(step)
-            row += 1
-
-    times = grid.snapshot_times()
-    out = []
-    for i, mat in enumerate(mats):
-        extra = {
-            "coefficient": (mat.tolist() if mat is not None else "identity"),
-            "batch_index": i,
-            "batch_size": nb,
-        }
-        out.append(
-            Trajectory(
-                SpaceTimeField(grid, times, states[i]),
-                SpaceTimeField(grid, times, grads[i]),
-                _provenance(cfg, "linear", extra),
-            )
-        )
-    return out
+    return _sweep(cfg, [a])[0]

@@ -298,3 +298,30 @@ def test_cli_apriori_and_lemmas(tmp_path, capsys):
     assert cli_main(["lemmas", "--config", str(cfg_file2), "--seed", "6"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_unknown_params_and_regularity_keys_rejected():
+    with pytest.raises(ConfigError, match="basepoint"):
+        ExperimentConfig.from_dict({"experiment": "theorem1", "params": {"basepoint": 4}})
+    with pytest.raises(ConfigError, match="refine"):  # a lemmas key, not a theorem1 one
+        ExperimentConfig.from_dict({"experiment": "theorem1", "params": {"refine": False}})
+    with pytest.raises(ConfigError, match="pair_budgt"):
+        ExperimentConfig.from_dict({"experiment": "lemmas", "regularity": {"pair_budgt": 10}})
+    ok = ExperimentConfig.from_dict({
+        "experiment": "theorem1", "params": {"basepoints": 4},
+        "regularity": {"r_min_factor": 2, "r_max": 0.2, "pair_budget": 10, "y_budget": 4},
+    })
+    assert ok.params["basepoints"] == 4 and ok.regularity["r_min_factor"] == 2
+
+
+def test_override_rejects_unknown_params_and_regularity_keys(tmp_path):
+    cfg = noise_cfg(tmp_path)
+    before = cfg.to_dict()
+    for dotted, value in (("params.n_sample", "10"), ("params.basepoints", "4"),
+                          ("regularity.pair_budgt", "10"), ("params", '{"n_samples": 10}'),
+                          ("regularity", "{}")):
+        with pytest.raises(ConfigError):
+            cfg.apply_override(dotted, value)
+    assert cfg.to_dict() == before
+    cfg.apply_override("regularity.y_budget", "8")
+    assert cfg.regularity["y_budget"] == 8

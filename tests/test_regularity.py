@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,60 @@ def test_baseline_recovers_cusp_exponent():
     reg = params_for(grid)
     slope, _ = baseline_remainder(entry.gradient, entry.basepoint, reg)
     assert slope == pytest.approx(0.75, abs=0.1)
+
+
+def _roll_then_stride_seminorm(f, alpha, pair_budget):
+    """The whole-field seminorm as it was first written: roll every snapshot,
+    then stride the time axis."""
+    from quasiheat.regularity import _comp_abs, _pair_classes
+
+    grid, vals = f.grid, f.values
+    dim, n_time, n = grid.dim, vals.shape[0], grid.n
+    snap_dt = grid.snap_dt if n_time > 1 else 1.0
+    exhaustive = (n_time * n**dim) * (n_time * n**dim) <= pair_budget * 8
+    best = 0.0
+    for st, sx in _pair_classes(n, n_time, grid.dx, snap_dt, exhaustive, signed=False):
+        if dim == 1:
+            specs = [(sx,)]
+        elif exhaustive:
+            specs = [(sx, sy) for sy in range(n)]
+        else:
+            specs = [(sx, 0), (0, sx), (sx, sx), (sx, -sx)]
+        for sv in specs:
+            sd = [min(abs(s) % n, n - abs(s) % n) for s in sv]
+            dist = (math.sqrt(st * snap_dt) if st else 0.0) + math.hypot(*[s * grid.dx for s in sd])
+            if dist == 0.0:
+                continue
+            shifted = vals
+            for ax, s in enumerate(sv):
+                if s % n:
+                    shifted = np.roll(shifted, -s, axis=1 + ax)
+            a_view = shifted[st:] if st else shifted
+            b_view = vals[: n_time - st] if st else vals
+            stride = max(1, int(np.ceil(a_view.shape[0] * np.prod(a_view.shape[1 : 1 + dim]) / pair_budget)))
+            diff = a_view[::stride] - b_view[::stride]
+            ratios = _comp_abs(diff, diff.ndim - len(f.component_shape)) / dist**alpha
+            best = max(best, float(ratios.max()))
+    return best
+
+
+@pytest.mark.parametrize("dim,n,n_time,comps,budget,time_only", [
+    (1, 64, 257, (), 100_000, False),
+    (1, 32, 129, (1,), 500, False),
+    # (129 - 1) * 32 / 512 = 8 exactly: the stride must count n_time - st rows
+    (1, 32, 129, (), 512, True),
+    (1, 8, 5, (), 100_000, False),  # small enough for the exhaustive listing
+    (2, 16, 65, (2,), 2_000, False),
+    (2, 16, 65, (2,), 100_000, False),
+    (2, 4, 3, (2,), 100_000, False),
+])
+def test_whole_field_seminorm_strides_before_rolling(dim, n, n_time, comps, budget, time_only):
+    grid = GridSpec.create(dim, n)
+    rng = np.random.default_rng(n_time + 7 * n)
+    # heavy tails: the sup sits on a few pairs, so a decimation that keeps
+    # other rows changes it
+    shape = (n_time,) + ((1,) * dim if time_only else grid.shape) + comps
+    vals = np.broadcast_to(rng.standard_cauchy(shape), (n_time,) + grid.shape + comps)
+    f = SpaceTimeField(grid, np.arange(n_time) * grid.snap_dt, vals)
+    got = holder_seminorm(f, 0.75, pair_budget=budget)
+    assert got == _roll_then_stride_seminorm(f, 0.75, budget) and got > 0.0

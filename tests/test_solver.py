@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import solver_reference as ref
 from quasiheat.grid import GridSpec
 from quasiheat.noise import NoisePath, NoiseSpec
 from quasiheat.nonlinearity import linear_family, sine_family
@@ -144,13 +145,121 @@ def test_initial_condition_trajectory_starts_there():
     assert np.max(np.abs(u.state.values[0] - cfg.initial_state)) < 1e-14
 
 
-def test_dealias_option_runs():
+# ---- parity with the frozen per-equation loops of tests/solver_reference.py
+
+
+def _bits_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _path(dim, n, seed=11, sigma=1.0, t_support=(0.0, 1.0), substeps=1, cfl=0.25):
+    grid = GridSpec.create(dim, n, cfl=cfl)
+    spec = NoiseSpec(alpha=0.75, dim=dim, sigma=sigma, master_seed=seed, t_support=t_support)
+    return grid, NoisePath(spec, grid, substeps=substeps)
+
+
+@pytest.mark.parametrize("dim,n,substeps", [(1, 64, 1), (1, 128, 2), (2, 16, 1), (2, 16, 3)])
+def test_increment_hat_matches_fresh_philox_reference(dim, n, substeps):
+    grid, path = _path(dim, n, t_support=(0.25, 0.5), substeps=substeps)
+    lo, hi = (int(round(t / grid.dt)) for t in (0.25, 0.5))
+    steps = [0, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, grid.n_steps - 1, 7, 3 * lo // 2]
+    # out of order and repeated: a re-keyed generator carries no state over
+    for step in steps + steps[::-1]:
+        assert _bits_equal(path.increment_hat(step), ref.increment_hat(path, step))
+    assert not np.any(path.increment_hat(lo - 1)) and np.any(path.increment_hat(lo))
+    assert np.any(path.increment_hat(hi - 1)) and not np.any(path.increment_hat(hi))
+    _, quiet = _path(dim, n, sigma=0.0)
+    assert _bits_equal(quiet.increment_hat(5), ref.increment_hat(quiet, 5))
+
+
+def _xs(grid):
+    return np.arange(grid.n) / grid.n
+
+
+def _case(name):
+    """(SolveConfig, two constant coefficients) for one parity case."""
+    if name.startswith("d2"):
+        grid, path = _path(2, 16)
+        A = sine_family(2, 0.5)
+        coeffs = [np.array([[0.9, 0.05], [0.05, 0.8]]), np.array([[0.7, -0.1], [-0.1, 0.95]])]
+    else:
+        kw = {
+            "substeps2": {"substeps": 2, "cfl": 0.125},
+            "t_support": {"t_support": (0.25, 0.5)},
+            "sigma0": {"sigma": 0.0},
+        }.get(name, {})
+        grid, path = _path(1, 32, **kw)
+        A = sine_family(1, 0.5)
+        coeffs = [np.array([[0.85]]), np.array([[0.45]])]
+    if name == "imex":
+        A = linear_family([[0.8]])
+    if name == "d2_linear_flux":
+        # a matrix flux through the nonlinear step (matmul on the gradient view)
+        A = linear_family(coeffs[0])
+    cfg = SolveConfig(grid=grid, path=path, A=A, scheme="imex" if name == "imex" else "exp")
+    if name in ("sigma0", "initial_state"):
+        x = _xs(grid)
+        cfg.initial_state = np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
+    if name == "d2_initial_state":
+        x = _xs(grid)
+        cfg.initial_state = np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)[None, :]
+    return cfg, coeffs
+
+
+PARITY_CASES = ["d1", "d2", "substeps2", "t_support", "sigma0", "imex", "initial_state",
+                "d2_initial_state", "d2_linear_flux"]
+
+
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_engine_mixed_batch_matches_reference_loops(name):
+    cfg, (a1, a2) = _case(name)
+    got = solve_anisotropic_batch(cfg, [cfg.A, None, a1, a2])
+    want = [ref.solve_nonlinear(cfg), ref.solve_linear_constant(cfg, None)]
+    want += ref.solve_anisotropic_batch(cfg, [a1, a2])
+    for traj, (state, grad) in zip(got, want):
+        assert _bits_equal(traj.state.values, state)
+        assert _bits_equal(traj.gradient.values, grad)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "imex", "initial_state"])
+def test_batch_of_one_wrappers_match_reference_loops(name):
+    cfg, (a1, _) = _case(name)
+    for traj, (state, grad) in (
+        (solve_nonlinear(cfg), ref.solve_nonlinear(cfg)),
+        (solve_linear_constant(cfg, a1), ref.solve_linear_constant(cfg, a1)),
+        (solve_linear_constant(cfg), ref.solve_linear_constant(cfg, None)),
+    ):
+        assert _bits_equal(traj.state.values, state)
+        assert _bits_equal(traj.gradient.values, grad)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_linear_flux_member_matches_reference(dim):
+    # constant DA: the harness solves u with the exact integrator on A's matrix
+    grid, path = _path(dim, 32 if dim == 1 else 16)
+    A = sine_family(dim, 0.0)
+    cfg = SolveConfig(grid=grid, path=path, A=A)
+    u, v = solve_anisotropic_batch(cfg, [A.linear_matrix, None])
+    for traj, (state, grad) in zip(
+        (u, v), (ref.solve_linear_constant(cfg, A.linear_matrix), ref.solve_linear_constant(cfg))
+    ):
+        assert _bits_equal(traj.state.values, state)
+        assert _bits_equal(traj.gradient.values, grad)
+
+
+def test_shared_sweep_fetches_each_increment_once(monkeypatch):
     _, cfg = setup(n=32)
-    cfg.dealias = True
-    u = solve_nonlinear(cfg)
-    assert np.all(np.isfinite(u.state.values))
-    cfg.dealias = False
-    v = solve_nonlinear(cfg)
-    # the flux is non-polynomial, so the 2/3 mask is a small perturbation
-    scale = np.max(np.abs(v.state.values))
-    assert np.max(np.abs(u.state.values - v.state.values)) <= 0.1 * scale
+    calls = []
+    inner = NoisePath.increment_hat
+    monkeypatch.setattr(NoisePath, "increment_hat", lambda self, step: calls.append(step) or inner(self, step))
+    solve_anisotropic_batch(cfg, [cfg.A, None, np.array([[0.6]])])
+    assert calls == list(range(cfg.grid.n_steps))
+
+
+def test_sweep_rejects_a_second_flux_member():
+    _, cfg = setup(n=32)
+    with pytest.raises(SolverError):
+        solve_anisotropic_batch(cfg, [cfg.A, cfg.A])
+    with pytest.raises(SolverError):
+        solve_anisotropic_batch(cfg, [sine_family(1, 0.3)])
