@@ -3,7 +3,8 @@
 Fields live on the unit torus [0, 1)^d sampled at n points per axis, with
 time-indexed snapshots.  This module provides the parabolic
 (Carnot-Caratheodory) metric, parabolic cylinders, lattice increments,
-mollification by a compactly supported bump, and spectral gradients.
+mollification by a compactly supported bump, and the spectral helper that
+owns the rfft mode layout (wavenumbers, symbols, transforms, gradients).
 Everything is periodic; non-periodic analytic test fields are handled by the
 callers keeping their analysis windows away from the seam.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -359,6 +361,94 @@ def cylinder_increment(f: SpaceTimeField, cyl: ParabolicCylinder, y) -> Cylinder
 
 
 # ---------------------------------------------------------------------------
+# Spectral helper
+# ---------------------------------------------------------------------------
+
+class Spectral:
+    """The rfft mode layout of one grid, and the transforms on it.
+
+    Modes follow numpy's real transform of a field on the grid: the last axis
+    holds the non-negative half, k = 2*pi*m with integer m, |m_i| <= n/2.
+    Transforms act on the trailing d axes, so leading axes (snapshots,
+    components, batch members) go through one call; d = 1 uses the 1-D
+    transforms.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.axes = tuple(range(-grid.dim, 0))
+        n, dx = grid.n, grid.dx
+        ks = [2 * np.pi * np.fft.rfftfreq(n, d=dx)]
+        if grid.dim == 2:
+            ks = [2 * np.pi * np.fft.fftfreq(n, d=dx)[:, None], ks[0][None, :]]
+        # wavenumbers per axis, each of the half-spectrum shape
+        self.k = np.stack(np.broadcast_arrays(*ks))
+        self.ik = 1j * self.k
+
+    def symbol(self, a: Optional[np.ndarray] = None) -> np.ndarray:
+        """k . sym(a) k per mode; ``a=None`` gives |k|^2."""
+        k = self.k
+        a = np.eye(self.grid.dim) if a is None else np.atleast_2d(np.asarray(a, dtype=float))
+        s = 0.5 * (a + a.T)
+        if self.grid.dim == 1:
+            return s[0, 0] * k[0] * k[0]
+        return s[0, 0] * k[0] * k[0] + 2.0 * s[0, 1] * k[0] * k[1] + s[1, 1] * k[1] * k[1]
+
+    def to_hat(self, phys: np.ndarray) -> np.ndarray:
+        if self.grid.dim == 1:
+            return np.fft.rfft(phys)
+        return np.fft.rfftn(phys, axes=self.axes)
+
+    def to_phys(self, hat: np.ndarray) -> np.ndarray:
+        if self.grid.dim == 1:
+            return np.fft.irfft(hat, n=self.grid.n)
+        return np.fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
+
+    def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
+        """Gradient with a trailing component axis, batched over any leading
+        axes of hat: a view of one inverse transform of the components
+        stacked along a new first axis."""
+        ik = self.ik
+        if hat.ndim > self.grid.dim:
+            ik = np.expand_dims(ik, tuple(range(1, 1 + hat.ndim - self.grid.dim)))
+        return np.moveaxis(self.to_phys(ik * hat), 0, -1)
+
+    def divergence_hat(self, q: np.ndarray) -> np.ndarray:
+        """Spectrum of the divergence of q, whose components are on the last axis."""
+        qh = self.to_hat(np.moveaxis(q, -1, 0))
+        out = self.ik[0] * qh[0]
+        for i in range(1, self.grid.dim):
+            out = out + self.ik[i] * qh[i]
+        return out
+
+    def fold_weights(self) -> np.ndarray:
+        """Weight 2 on the modes whose conjugate the half-spectrum leaves out."""
+        w = np.full(self.k.shape[1:], 2.0)
+        w[..., 0] = 1.0
+        w[..., -1] = 1.0
+        return w
+
+    def mirrored_phys(self, hat: np.ndarray) -> np.ndarray:
+        """Complex inverse transform of hat mirrored to the full Hermitian
+        spectrum; real up to rounding iff hat is the spectrum of a real field."""
+        n = self.grid.n
+        full = np.zeros(self.grid.shape, dtype=complex)
+        full[..., : n // 2 + 1] = hat
+        cols = np.arange(n // 2 + 1, n)
+        src = full if self.grid.dim == 1 else full[(-np.arange(n)) % n]
+        full[..., cols] = np.conj(src[..., n - cols])
+        return np.fft.ifftn(full, s=self.grid.shape, axes=self.axes)
+
+
+def spectral_gradient(f: SpaceTimeField) -> SpaceTimeField:
+    """Fourier-exact gradient of a scalar field, returned with a trailing d axis."""
+    if not f.is_scalar:
+        raise GridError("spectral_gradient expects a scalar field")
+    sp = Spectral(f.grid)
+    return SpaceTimeField(f.grid, f.times, sp.gradient_phys(sp.to_hat(f.values)))
+
+
+# ---------------------------------------------------------------------------
 # Mollification
 # ---------------------------------------------------------------------------
 
@@ -448,15 +538,12 @@ def _mollifier(grid: GridSpec, r: float) -> Mollifier:
 
 
 def _convolve(f: SpaceTimeField, kernel: np.ndarray) -> np.ndarray:
-    axes = tuple(range(1, 1 + f.grid.dim))
-    n = f.grid.n
-    khat = np.fft.rfftn(kernel, axes=tuple(range(f.grid.dim)))
-    shape = khat.shape
-    # align kernel spectrum against (T, spatial..., comp...) value layout
-    expand = (1,) * 1 + shape + (1,) * len(f.component_shape)
-    fhat = np.fft.rfftn(f.values, axes=axes)
-    out = np.fft.irfftn(fhat * khat.reshape(expand), s=f.grid.shape, axes=axes)
-    return out
+    sp = Spectral(f.grid)
+    # component axes go in front, so the transforms act on the trailing axes
+    comp = tuple(range(1 + f.grid.dim, f.values.ndim))
+    front = tuple(range(len(comp)))
+    fhat = sp.to_hat(np.moveaxis(f.values, comp, front))
+    return np.moveaxis(sp.to_phys(fhat * sp.to_hat(kernel)), front, comp)
 
 
 def mollify(f: SpaceTimeField, r: float) -> SpaceTimeField:
@@ -475,30 +562,3 @@ def mollify_deriv(f: SpaceTimeField, r: float, axis: int) -> SpaceTimeField:
     if not (0 <= axis < f.grid.dim):
         raise GridError(f"axis {axis} out of range for dim {f.grid.dim}")
     return SpaceTimeField(f.grid, f.times, _convolve(f, mol.deriv_kernels[axis]))
-
-
-# ---------------------------------------------------------------------------
-# Spectral gradient
-# ---------------------------------------------------------------------------
-
-def _wavenumbers(grid: GridSpec) -> list:
-    """2*pi*integer frequencies, shaped for the rfftn layout per axis."""
-    n = grid.n
-    if grid.dim == 1:
-        return [2 * np.pi * np.fft.rfftfreq(n, d=grid.dx)]
-    kx = 2 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    ky = 2 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-    return [kx[:, None], ky[None, :]]
-
-
-def spectral_gradient(f: SpaceTimeField) -> SpaceTimeField:
-    """Fourier-exact gradient of a scalar field, returned with a trailing d axis."""
-    if not f.is_scalar:
-        raise GridError("spectral_gradient expects a scalar field")
-    axes = tuple(range(1, 1 + f.grid.dim))
-    fhat = np.fft.rfftn(f.values, axes=axes)
-    ks = _wavenumbers(f.grid)
-    comps = [
-        np.fft.irfftn(1j * k[None] * fhat, s=f.grid.shape, axes=axes) for k in ks
-    ]
-    return SpaceTimeField(f.grid, f.times, np.stack(comps, axis=-1))

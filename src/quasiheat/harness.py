@@ -350,8 +350,10 @@ def draw_basepoints(
     return [(t, x[0] if grid.dim == 1 else x) for t, x in out]
 
 
-def _seminorm_of_gradient(traj_grad: SpaceTimeField, alpha: float, budget: int) -> float:
-    return holder_seminorm(traj_grad, alpha, pair_budget=budget)
+def _refined(cfg: ExperimentConfig, grid: GridSpec) -> GridSpec:
+    """The n -> 2n refinement of grid at the config's cfl."""
+    return GridSpec.create(dim=grid.dim, n=2 * grid.n,
+                           cfl=float(cfg.grid.get("cfl", 0.25)), t_end=grid.t_end)
 
 
 def _require_seeds(cfg: ExperimentConfig) -> List[int]:
@@ -457,8 +459,8 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
             continue
 
         seminorms[str(seed)] = {
-            "grad_v": _seminorm_of_gradient(v.gradient, alpha, reg.pair_budget),
-            "grad_u": _seminorm_of_gradient(u.gradient, alpha, reg.pair_budget),
+            "grad_v": holder_seminorm(v.gradient, alpha, pair_budget=reg.pair_budget),
+            "grad_u": holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget),
         }
         zs = draw_basepoints(
             grid, u.state.times, int(p["basepoints"]), seed,
@@ -559,23 +561,13 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
 # lemmas
 # ---------------------------------------------------------------------------
 
-def _ball_affine_sup(grad: SpaceTimeField, z, radii, alpha) -> float:
-    """sup_r r^(-2 alpha) inf_B ||grad f - B_x'||_(B_r(x')), spatial fit."""
+def _affine_sup(grad: SpaceTimeField, z, radii, alpha, spacetime: bool) -> float:
+    """sup_r r^(-2 alpha) inf_(B,b) ||grad f - B(x - x') - b|| over P_r(z), or
+    over the ball B_r(x') at time t' alone when not ``spacetime``."""
     best = 0.0
     for r in radii:
         cs = cylinder_samples(grad, ParabolicCylinder(t=z[0], x=z[1], r=float(r)))
-        vals = cs.values[-1]
-        x = cs.xrel
-        res = fit_affine_gradient(x, vals).residual
-        best = max(best, res / float(r) ** (2 * alpha))
-    return best
-
-
-def _cylinder_affine_sup(grad: SpaceTimeField, z, radii, alpha) -> float:
-    best = 0.0
-    for r in radii:
-        cs = cylinder_samples(grad, ParabolicCylinder(t=z[0], x=z[1], r=float(r)))
-        x, v = cs.flat()
+        x, v = cs.flat() if spacetime else (cs.xrel, cs.values[-1])
         res = fit_affine_gradient(x, v).residual
         best = max(best, res / float(r) ** (2 * alpha))
     return best
@@ -635,14 +627,14 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
 
     for entry in corpus:
         z = entry.basepoint
-        lhs_space = _ball_affine_sup(entry.gradient, z, radii_ball, alpha)
+        lhs_space = _affine_sup(entry.gradient, z, radii_ball, alpha, spacetime=False)
         n_space = increment_constant(entry.gradient, z, reg, spacetime=False)
         if entry.expect_zero_increment_constant:
             zero_worst = max(zero_worst, lhs_space, n_space)
         bump(corpus_consts, "affine_from_increments_space", _ratio(lhs_space, n_space, ztol))
 
         if entry.time_dependent:
-            lhs_st = _cylinder_affine_sup(entry.gradient, z, radii_ball, alpha)
+            lhs_st = _affine_sup(entry.gradient, z, radii_ball, alpha, spacetime=True)
             n_st = increment_constant(entry.gradient, z, reg, spacetime=True)
             t_terms = time_term_constant(entry.scalar, z, reg)
             bump(corpus_consts, "affine_from_increments_spacetime",
@@ -678,7 +670,7 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
         zs = draw_basepoints(grid, u.state.times, int(p["sim_basepoints"]), seed,
                              t_min=0.2 * grid.t_end, t_max=grid.t_end)
         for z in zs:
-            lhs_st = _cylinder_affine_sup(gu, z, radii_ball, alpha)
+            lhs_st = _affine_sup(gu, z, radii_ball, alpha, spacetime=True)
             n_st = increment_constant(gu, z, reg, spacetime=True)
             t_terms = time_term_constant(u.state, z, reg)
             bump(sim_consts, "affine_from_increments_spacetime",
@@ -726,11 +718,7 @@ def run_lemma_suite(cfg: ExperimentConfig) -> RunReport:
 
     refine = {}
     if p["refine"]:
-        grid2 = GridSpec.create(
-            dim=grid.dim, n=2 * grid.n,
-            cfl=float(cfg.grid.get("cfl", 0.25)), t_end=grid.t_end,
-        )
-        res_2n = _lemma_constants(cfg, grid2, seeds)
+        res_2n = _lemma_constants(cfg, _refined(cfg, grid), seeds)
         # refinement stability is judged on the deterministic corpus, which is
         # the same analytic data at both resolutions
         for name in _LEMMA_FAMILIES:
@@ -832,8 +820,7 @@ def run_apriori_sweep(cfg: ExperimentConfig) -> RunReport:
     report.metrics["power_law_exponent"] = exponent
 
     if p["refine"] and rows:
-        grid2 = GridSpec.create(dim=grid.dim, n=2 * grid.n,
-                                cfl=float(cfg.grid.get("cfl", 0.25)), t_end=grid.t_end)
+        grid2 = _refined(cfg, grid)
         ref_rows = []
         for seed in seeds[:1]:
             spec = cfg.build_noise_spec(seed, sigma=1.0)

@@ -8,6 +8,8 @@ dt*K_hat(k); increments are never stored but regenerated from a counter-based
 stream keyed by (master_seed, step), so any step can be resampled bit-exactly
 in any order, and paths built from one spec agree bit for bit.  One path
 object is not thread-safe (see ``NoisePath``); give each thread its own.
+The mode layout, the transforms and the half-spectrum folding belong to
+``grid.Spectral``; this module owns no frequencies of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .grid import GridSpec, SpaceTimeField
+from .grid import GridSpec, SpaceTimeField, Spectral
 
 
 class NoiseError(ValueError):
@@ -61,27 +63,15 @@ class NoiseSpec:
         }
 
 
-def _mode_frequencies(grid: GridSpec):
-    """Integer mode frequencies in the rfftn layout, one array per axis."""
-    n = grid.n
-    if grid.dim == 1:
-        return (np.fft.rfftfreq(n, d=1.0 / n),)
-    mx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    my = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-    return (mx, my)
-
-
 def build_spectrum(spec: NoiseSpec, grid: GridSpec) -> np.ndarray:
     """Square-root amplitudes a(k) = sigma*(1+|k|^2)^(-s/4) on resolved modes.
 
-    Layout matches numpy's rfftn of a real field on the grid; k = 2*pi*m with
-    integer m, |m_i| <= n/2.  Even in k by construction.
+    Layout is the grid's half-spectrum (see ``grid.Spectral``).  Even in k
+    by construction.
     """
     if spec.dim != grid.dim:
         raise NoiseError("noise and grid dimension disagree")
-    freqs = _mode_frequencies(grid)
-    k2 = sum((2.0 * np.pi * m) ** 2 for m in freqs)
-    return spec.sigma * (1.0 + k2) ** (-spec.s / 4.0)
+    return spec.sigma * (1.0 + Spectral(grid).symbol()) ** (-spec.s / 4.0)
 
 
 @dataclass(frozen=True)
@@ -105,6 +95,7 @@ class NoisePath:
     _amp: np.ndarray = field(default=None, repr=False, compare=False)
     _scaled_amp: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _gen: Generator = field(default=None, init=False, repr=False, compare=False)
+    _spectral: Spectral = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.substeps < 1:
@@ -115,6 +106,7 @@ class NoisePath:
         object.__setattr__(self, "_amp", amp)
         object.__setattr__(self, "_scaled_amp", scale * amp)
         object.__setattr__(self, "_gen", Generator(Philox(key=0)))
+        object.__setattr__(self, "_spectral", Spectral(grid))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -126,12 +118,11 @@ class NoisePath:
         return (lo - 1e-12) <= t < (hi - 1e-12)
 
     def increment_hat(self, step: int) -> np.ndarray:
-        """rfftn coefficients of the step's increment (zero outside t-support)."""
+        """Half-spectrum of the step's increment (zero outside t-support)."""
         grid = self.grid
         shape = self._amp.shape
         if not self._active(step) or self.spec.sigma == 0.0:
             return np.zeros(shape, dtype=complex)
-        rfft = np.fft.rfft if grid.dim == 1 else np.fft.rfftn
         out = np.zeros(shape, dtype=complex)
         base = self.substeps * step
         for i in range(self.substeps):
@@ -142,13 +133,12 @@ class NoisePath:
                 "buffer": np.zeros(4, dtype=np.uint64),
                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
-            out += rfft(self._gen.standard_normal(grid.shape))
+            out += self._spectral.to_hat(self._gen.standard_normal(grid.shape))
         return self._scaled_amp * out
 
     def sample_increment(self, step: int) -> SpaceTimeField:
         """The step's increment as a single-snapshot physical field."""
-        axes = tuple(range(self.grid.dim))
-        vals = np.fft.irfftn(self.increment_hat(step), s=self.grid.shape, axes=axes)
+        vals = self._spectral.to_phys(self.increment_hat(step))
         return SpaceTimeField(self.grid, np.array([step * self.grid.dt]), vals[None])
 
     def digest(self, steps) -> str:
@@ -161,26 +151,14 @@ class NoisePath:
 
 def analytic_covariance(spec: NoiseSpec, grid: GridSpec, lag_nodes) -> np.ndarray:
     """K at lattice lags along axis 0: K(x) = sum_k K_hat(k) e^(ik.x)."""
+    sp = Spectral(grid)
     amp = build_spectrum(spec, grid)
     khat = amp * amp
-    freqs = _mode_frequencies(grid)
-    # weight doubled on modes whose conjugate is folded away by the rfft layout
-    if grid.dim == 1:
-        w = np.full(khat.shape, 2.0)
-        w[0] = 1.0
-        if grid.n % 2 == 0:
-            w[-1] = 1.0
-        m0 = freqs[0]
-    else:
-        w = np.full(khat.shape, 2.0)
-        w[:, 0] = 1.0
-        if grid.n % 2 == 0:
-            w[:, -1] = 1.0
-        m0 = np.broadcast_to(freqs[0], khat.shape)
+    w = sp.fold_weights()
     lags = np.asarray(lag_nodes)
     out = np.empty(len(lags))
     for i, lag in enumerate(lags):
-        phase = np.cos(2.0 * np.pi * m0 * lag * grid.dx)
+        phase = np.cos(sp.k[0] * lag * grid.dx)
         out[i] = float(np.sum(w * khat * phase))
     return out
 
@@ -218,7 +196,7 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
         )
     lags = list(range(max_lag + 1))
     k_an = analytic_covariance(path.spec, grid, lags)
-    axes = tuple(range(grid.dim))
+    sp = Spectral(grid)
     inv_sqrt_dt = 1.0 / np.sqrt(grid.dt)
 
     acc = np.zeros(len(lags))
@@ -230,10 +208,10 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     prev = None
     for i in range(n_samples):
         hat = path.increment_hat(i)
-        f = np.fft.irfftn(hat, s=grid.shape, axes=axes) * inv_sqrt_dt
+        f = sp.to_phys(hat) * inv_sqrt_dt
         # realness residue measured on the explicitly mirrored full spectrum
         if i < 8:
-            full = np.fft.ifftn(_full_spectrum(hat, grid), s=grid.shape, axes=axes)
+            full = sp.mirrored_phys(hat)
             imag_max = max(imag_max, float(np.max(np.abs(full.imag))) * inv_sqrt_dt)
         for li, lag in enumerate(lags):
             acc[li] += float(np.mean(f * np.roll(f, -lag, axis=0)))
@@ -279,36 +257,14 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     )
 
 
-def _full_spectrum(hat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Mirror an rfftn half-spectrum to the full Hermitian spectrum."""
-    n = grid.n
-    if grid.dim == 1:
-        full = np.zeros(n, dtype=complex)
-        full[: n // 2 + 1] = hat
-        full[n // 2 + 1 :] = np.conj(hat[1 : n // 2][::-1])
-        return full
-    full = np.zeros((n, n), dtype=complex)
-    full[:, : n // 2 + 1] = hat
-    cols = np.arange(n // 2 + 1, n)
-    full[:, cols] = np.conj(full[(-np.arange(n)) % n][:, (n - cols)])
-    return full
-
-
 def write_spectrum_csv(spec: NoiseSpec, grid: GridSpec, path) -> None:
     """Tabulate (k, K_hat(k)) over resolved modes."""
     amp = build_spectrum(spec, grid)
-    freqs = _mode_frequencies(grid)
+    k = Spectral(grid).k
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"k_{i + 1}" for i in range(grid.dim)] + ["khat"])
-        it = np.ndindex(amp.shape)
-        for idx in it:
-            if grid.dim == 1:
-                ks = [2.0 * np.pi * float(freqs[0][idx[0]])]
-            else:
-                ks = [
-                    2.0 * np.pi * float(freqs[0][idx[0], 0]),
-                    2.0 * np.pi * float(freqs[1][0, idx[1]]),
-                ]
-            w.writerow([repr(k) for k in ks] + [repr(float(amp[idx] ** 2))])
+        for idx in np.ndindex(amp.shape):
+            ks = [repr(float(ki[idx])) for ki in k]
+            w.writerow(ks + [repr(float(amp[idx] ** 2))])

@@ -59,7 +59,6 @@ class RegularityParams:
     radii: np.ndarray
     pair_budget: int = 100_000
     y_budget: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.5 < self.alpha < 1.0):
@@ -79,7 +78,6 @@ class RegularityParams:
         r_max: float = 0.25,
         pair_budget: int = 100_000,
         y_budget: int = 32,
-        seed: int = 0,
     ) -> "RegularityParams":
         r = r_min_factor * grid.dx
         radii = []
@@ -91,7 +89,6 @@ class RegularityParams:
             radii=np.array(radii),
             pair_budget=pair_budget,
             y_budget=y_budget,
-            seed=seed,
         )
 
 

@@ -31,17 +31,18 @@ which removes time-discretization error from the model side.
 flux ``cfg.A`` (at most one) or a constant coefficient (``None`` is the heat
 model).  ``solve_nonlinear`` and ``solve_linear_constant`` are batches of
 one.  Every member's update is elementwise in Fourier space, so it is bitwise
-the same whether it is advanced alone or beside others.
+the same whether it is advanced alone or beside others.  The wavenumbers, the
+symbols mu_k and the transforms come from ``grid.Spectral``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, _wavenumbers
+from .grid import GridSpec, SpaceTimeField, Spectral
 from .noise import NoisePath
 from .nonlinearity import FrozenCoefficient, Nonlinearity, validate
 
@@ -67,7 +68,6 @@ class SolveConfig:
     A: Nonlinearity
     scheme: str = "exp"
     initial_state: Optional[np.ndarray] = None
-    _validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.scheme not in ("exp", "imex"):
@@ -78,9 +78,7 @@ class SolveConfig:
             raise SolverError("noise path is bound to a different grid")
         if self.A.dim != self.grid.dim:
             raise SolverError("nonlinearity dimension does not match the grid")
-        if not self._validated:
-            validate(self.A)
-            self._validated = True
+        validate(self.A)
 
     @property
     def cfl(self) -> float:
@@ -98,58 +96,6 @@ class Trajectory:
     def gradient_at(self, z) -> np.ndarray:
         t, x = z
         return np.asarray(self.gradient.value_at(t, x))
-
-
-def _sym_mu(grid: GridSpec, a: Optional[np.ndarray]) -> np.ndarray:
-    """Fourier symbol k . sym(a) k on the rfftn mode layout."""
-    ks = _wavenumbers(grid)
-    if a is None:
-        a = np.eye(grid.dim)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    s = 0.5 * (a + a.T)
-    if grid.dim == 1:
-        return s[0, 0] * ks[0] * ks[0]
-    return (
-        s[0, 0] * ks[0] * ks[0]
-        + 2.0 * s[0, 1] * ks[0] * ks[1]
-        + s[1, 1] * ks[1] * ks[1]
-    )
-
-
-class _Spectral:
-    """FFT helpers for one grid.
-
-    Transforms act on the trailing d axes, so the components of a gradient
-    or a flux go through one call; d = 1 uses the 1-D transforms.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.axes = tuple(range(-grid.dim, 0))
-        # i*k per component, stacked along a leading axis
-        self.ik = 1j * np.stack(np.broadcast_arrays(*_wavenumbers(grid)))
-
-    def to_hat(self, phys: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return np.fft.rfft(phys)
-        return np.fft.rfftn(phys, axes=self.axes)
-
-    def to_phys(self, hat: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return np.fft.irfft(hat, n=self.grid.n)
-        return np.fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
-
-    def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
-        """Gradient with a trailing component axis: a view of one inverse
-        transform of the components stacked along a leading axis."""
-        return np.moveaxis(self.to_phys(self.ik * hat), 0, -1)
-
-    def divergence_hat(self, q: np.ndarray) -> np.ndarray:
-        qh = self.to_hat(np.moveaxis(q, -1, 0))
-        out = self.ik[0] * qh[0]
-        for i in range(1, self.grid.dim):
-            out = out + self.ik[i] * qh[i]
-        return out
 
 
 def _coeff_matrix(a) -> Optional[np.ndarray]:
@@ -188,19 +134,19 @@ def _sweep(cfg: SolveConfig, members: Sequence) -> List[Trajectory]:
         return []
     grid = cfg.grid
     dt = grid.dt
-    sp = _Spectral(grid)
+    sp = Spectral(grid)
     flux = [i for i, m in enumerate(members) if isinstance(m, Nonlinearity)]
     if len(flux) > 1 or any(members[i] is not cfg.A for i in flux):
         raise SolverError("a sweep advances at most one flux member, and it must be cfg.A")
     linear = [i for i in range(len(members)) if i not in flux]
     slot = {i: k for k, i in enumerate(linear)}  # member -> row of the linear stack
 
-    mu0 = _sym_mu(grid, None)
+    mu0 = sp.symbol()
     decay0 = np.exp(-mu0 * dt)
     rational = 1.0 / (1.0 + mu0 * dt)
     exp_scheme = cfg.scheme == "exp"
     if linear:
-        decay = np.stack([np.exp(-_sym_mu(grid, _coeff_matrix(members[i])) * dt) for i in linear])
+        decay = np.stack([np.exp(-sp.symbol(_coeff_matrix(members[i])) * dt) for i in linear])
 
     if cfg.initial_state is None:
         h0 = sp.to_hat(np.zeros(grid.shape))

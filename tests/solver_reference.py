@@ -2,9 +2,10 @@
 
 A frozen copy of the three per-equation loops that ``quasiheat.solver`` ran
 before they became one sweep engine, and of the increment that built a fresh
-``Philox(key=...)`` for every step.  The engine and ``NoisePath.increment_hat``
-must reproduce these bits exactly; each loop here draws its own increments,
-so a shared sweep is checked against three independent ones.
+``Philox(key=...)`` for every step, with a frozen copy of the wavenumbers
+they used.  The engine and ``NoisePath.increment_hat`` must reproduce these
+bits exactly; each loop here draws its own increments, so a shared sweep is
+checked against three independent ones.
 """
 
 from __future__ import annotations
@@ -12,8 +13,16 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-from quasiheat.grid import _wavenumbers
 from quasiheat.nonlinearity import FrozenCoefficient
+
+
+def _wavenumbers(grid):
+    n = grid.n
+    if grid.dim == 1:
+        return [2 * np.pi * np.fft.rfftfreq(n, d=grid.dx)]
+    kx = 2 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    ky = 2 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
+    return [kx[:, None], ky[None, :]]
 
 
 def increment_hat(path, step: int) -> np.ndarray:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from quasiheat.grid import GridSpec
+from quasiheat.grid import GridSpec, Spectral
 from quasiheat.noise import (
     NoiseError,
     NoisePath,
     NoiseSpec,
-    _full_spectrum,
     analytic_covariance,
     build_spectrum,
     covariance_diagnostics,
@@ -98,7 +97,7 @@ def test_realness_residue():
     grid, path = make_path(n=64, sigma=2.0)
     for step in range(4):
         hat = path.increment_hat(step)
-        full = np.fft.ifft(_full_spectrum(hat, grid))
+        full = Spectral(grid).mirrored_phys(hat)
         assert np.max(np.abs(full.imag)) <= 1e-12 * 2.0
 
 
