@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = p.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS + ("validate-config",):
+    for name in tuple(EXPERIMENTS) + ("validate-config",):
         sub = subs.add_parser(name)
         _add_common(sub)
     return p

@@ -16,6 +16,8 @@ from numpy.random import Generator, Philox
 
 from .grid import GridSpec, SpaceTimeField
 
+_CUSP_ALPHA = 0.75  # Hoelder exponent of the smoothed-cusp entry's gradient
+
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -86,12 +88,10 @@ def _smooth_random(grid: GridSpec, index: int, n_modes: int = 6):
 def build_corpus(
     grid: GridSpec,
     n_random: int = 20,
-    with_time: bool = True,
-    cusp_alpha: float = 0.75,
     r_max: float = 0.25,
     cusp_scale: float = 1.0 / 32.0,
 ) -> list:
-    """Deterministic corpus: affine, quadratic, trig, smoothed cusp, random.
+    """Deterministic corpus: affine, quadratic, trig, smoothed cusp, time ramp, random.
 
     The basepoint time sits deep enough that cylinders up to radius ``r_max``
     stay inside the stored snapshots (slab depth r_max^2); purely spatial
@@ -108,8 +108,6 @@ def build_corpus(
     times = all_times[: depth + 1]
     t0 = float(times[-1])
     static_times = times[-1:]
-    if not with_time:
-        times = static_times
     z = (t0, center)
     entries = []
 
@@ -172,28 +170,27 @@ def build_corpus(
 
     def cusp_g(t, *xs):
         r2 = sum((x - 0.5) ** 2 for x in xs) + eps * eps
-        fac = r2 ** ((cusp_alpha - 1.0) / 2.0)
+        fac = r2 ** ((_CUSP_ALPHA - 1.0) / 2.0)
         return [(x - 0.5) * fac for x in xs]
 
     def cusp(t, *xs):
         r2 = sum((x - 0.5) ** 2 for x in xs) + eps * eps
-        return r2 ** ((cusp_alpha + 1.0) / 2.0) / (cusp_alpha + 1.0)
+        return r2 ** ((_CUSP_ALPHA + 1.0) / 2.0) / (_CUSP_ALPHA + 1.0)
 
     s, g = _mk(grid, times, cusp, cusp_g)
     entries.append(CorpusEntry("smoothed-cusp", s, g, z))
 
-    if with_time:
-        def tsin(t, *xs):
-            return t * np.sin(2 * np.pi * xs[0])
+    def tsin(t, *xs):
+        return t * np.sin(2 * np.pi * xs[0])
 
-        def tsin_g(t, *xs):
-            out = [t * 2 * np.pi * np.cos(2 * np.pi * xs[0])]
-            if grid.dim == 2:
-                out.append(np.zeros_like(xs[0]))
-            return out
+    def tsin_g(t, *xs):
+        out = [t * 2 * np.pi * np.cos(2 * np.pi * xs[0])]
+        if grid.dim == 2:
+            out.append(np.zeros_like(xs[0]))
+        return out
 
-        s, g = _mk(grid, times, tsin, tsin_g)
-        entries.append(CorpusEntry("time-ramp-sine", s, g, z, time_dependent=True))
+    s, g = _mk(grid, times, tsin, tsin_g)
+    entries.append(CorpusEntry("time-ramp-sine", s, g, z, time_dependent=True))
 
     for idx in range(n_random):
         f, gradf = _smooth_random(grid, idx)

@@ -13,8 +13,11 @@ Four batch experiments share the config format:
 * ``apriori-sweep``  -- amplitude sweep relating the linear and nonlinear
                         gradient seminorms
 
-Reports are deterministic functions of (config, seed): artifact bytes are
-reproducible, wall-clock lives in a sidecar.
+``run_experiment`` is the one runner: it owns what every run shares (seeds,
+grid, report, output directory, timing, report files) and calls the body of
+the experiment from ``EXPERIMENTS``, which only adds checks, metrics and
+artifacts.  Reports are deterministic functions of (config, seed): artifact
+bytes are reproducible, wall-clock lives in a sidecar.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -46,62 +49,43 @@ from .regularity import (
 )
 from .fitting import fit_affine_gradient
 from .grid import ParabolicCylinder, cylinder_samples, lattice_shifts
-from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch, solve_nonlinear
+from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch
 
 
 class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("noise-diag", "theorem1", "lemmas", "apriori-sweep")
-
 _BASEPOINT_TAG = 0xBA5E
 
-
-_DEFAULT_PARAMS = {
-    "theorem1": {
-        "basepoints": 16,
-        "slope_margin": 0.25,
-        "pass_fraction": 0.8,
-        "t_min_frac": 0.2,
-        "linear_remainder_tol": 1e-9,
-        "companion_increment_constant": True,
-    },
-    "lemmas": {
-        "constant_cap": 50.0,
-        "coefficient_ratio_cap": 1.05,
-        "refine_rel_change": 0.5,
-        "zero_tol": 1e-9,
-        "n_random": 20,
-        "sim_basepoints": 3,
-        "refine": True,
-    },
-    "apriori-sweep": {
-        "sigmas": [0.25, 0.5, 1.0, 2.0],
-        "scaling_rtol": 1e-9,
-        "refine_ratio_cap": 1.5,
-        "refine": True,
-    },
-    "noise-diag": {
-        "n_samples": 10_000,
-        "max_lag": 4,
-        "covariance_rtol": 0.05,
-        "whiteness_cap": 0.05,
-        "imag_residue_cap": 1e-12,
-    },
+# The one default of every key of these config sections; a key not listed is
+# rejected.  The defaults of ``params`` are per experiment (``EXPERIMENTS``).
+DEFAULTS = {
+    "grid": {"dim": 1, "n": 256, "t_end": 1.0, "cfl": 0.25},
+    "noise": {"alpha": 0.75, "sigma": 1.0},
+    "nonlinearity": {"kind": "sine", "kappa": 0.5, "matrix": None},
+    "regularity": {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25},
 }
+_SECTIONS = tuple(DEFAULTS) + ("params",)
 
 
-_DEFAULT_REGULARITY = {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25}
+def _omitted(section: str):
+    """An omitted section is stored as its defaults without the None ones."""
+    return field(default_factory=lambda: {k: v for k, v in DEFAULTS[section].items()
+                                          if v is not None})
 
 
 @dataclass
 class ExperimentConfig:
+    """A run's config.  ``grid``, ``noise`` and ``nonlinearity`` are stored and
+    hashed as given, and read through ``section``; ``params`` and
+    ``regularity`` are stored with their defaults merged in."""
+
     experiment: str
-    grid: dict = field(default_factory=lambda: {"dim": 1, "n": 256, "t_end": 1.0, "cfl": 0.25})
-    noise: dict = field(default_factory=lambda: {"alpha": 0.75, "sigma": 1.0})
-    nonlinearity: dict = field(default_factory=lambda: {"kind": "sine", "kappa": 0.5})
-    regularity: dict = field(default_factory=dict)
+    grid: dict = _omitted("grid")
+    noise: dict = _omitted("noise")
+    nonlinearity: dict = _omitted("nonlinearity")
+    regularity: dict = _omitted("regularity")
     params: dict = field(default_factory=dict)
     seeds: List[int] = field(default_factory=list)
     output_dir: str = "out"
@@ -109,16 +93,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        self.params = _merge_known("params", _DEFAULT_PARAMS[self.experiment], self.params)
-        self.regularity = _merge_known("regularity", _DEFAULT_REGULARITY, self.regularity)
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"choose from {tuple(EXPERIMENTS)}")
+        for name in _SECTIONS:
+            self._check_keys(name, getattr(self, name))
+        self.params = self.section("params")
+        self.regularity = self.section("regularity")
+
+    def _defaults(self, name: str) -> dict:
+        return EXPERIMENTS[self.experiment].params if name == "params" else DEFAULTS[name]
+
+    def _check_keys(self, name: str, keys) -> None:
+        unknown = set(keys) - set(self._defaults(name))
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; "
+                              f"known: {sorted(self._defaults(name))}")
+
+    def section(self, name: str) -> dict:
+        """A config section's given keys over its defaults."""
+        return {**self._defaults(name), **getattr(self, name)}
 
     # ---- constructors ----------------------------------------------------
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
@@ -137,8 +136,6 @@ class ExperimentConfig:
     def apply_override(self, dotted: str, value: str) -> None:
         """Apply a ``section.key=value`` CLI override (JSON-decoded value);
         the key is validated before anything is written."""
-        if "=" in dotted:
-            raise ConfigError("pass key and value separately")
         parts = dotted.split(".")
         if len(parts) > 2:
             raise ConfigError("overrides support one nesting level")
@@ -146,14 +143,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config key {parts[0]!r}")
         if parts[0] == "experiment":
             raise ConfigError("the experiment is chosen by the subcommand, not by an override")
-        section = getattr(self, parts[0])
-        if len(parts) == 2 and not isinstance(section, dict):
+        if len(parts) == 2 and parts[0] not in _SECTIONS:
             raise ConfigError(f"unknown config section {parts[0]!r}")
-        if parts[0] in ("params", "regularity"):
+        if parts[0] in _SECTIONS:
             if len(parts) == 1:
                 raise ConfigError(f"override {parts[0]} one key at a time: {parts[0]}.<key>")
-            if parts[1] not in section:
-                raise ConfigError(f"unknown {parts[0]} key {parts[1]!r}; known: {sorted(section)}")
+            self._check_keys(parts[0], parts[1:])
         try:
             val = json.loads(value)
         except json.JSONDecodeError:
@@ -161,22 +156,12 @@ class ExperimentConfig:
         if len(parts) == 1:
             setattr(self, parts[0], val)
         else:
-            section[parts[1]] = val
+            getattr(self, parts[0])[parts[1]] = val
 
     # ---- canonical form --------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "grid": self.grid,
-            "noise": self.noise,
-            "nonlinearity": self.nonlinearity,
-            "regularity": self.regularity,
-            "params": self.params,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "plots": self.plots,
-        }
+        return asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -187,38 +172,34 @@ class ExperimentConfig:
 
     # ---- module builders ---------------------------------------------------
 
-    def build_grid(self) -> GridSpec:
-        g = self.grid
-        return GridSpec.create(
-            dim=int(g.get("dim", 1)),
-            n=int(g.get("n", 256)),
-            cfl=float(g.get("cfl", 0.25)),
-            t_end=float(g.get("t_end", 1.0)),
-        )
+    def build_grid(self, refine: int = 1) -> GridSpec:
+        """The grid, with ``refine`` times the nodes per axis at the same cfl."""
+        g = self.section("grid")
+        return GridSpec.create(dim=int(g["dim"]), n=refine * int(g["n"]),
+                               cfl=float(g["cfl"]), t_end=float(g["t_end"]))
 
     def build_noise_spec(self, seed: int, sigma: float = None) -> NoiseSpec:
-        n = self.noise
+        n = self.section("noise")
         return NoiseSpec(
-            alpha=float(n.get("alpha", 0.75)),
-            dim=int(self.grid.get("dim", 1)),
-            sigma=float(n.get("sigma", 1.0)) if sigma is None else sigma,
+            alpha=float(n["alpha"]),
+            dim=int(self.section("grid")["dim"]),
+            sigma=float(n["sigma"]) if sigma is None else sigma,
             master_seed=int(seed),
         )
 
+    def build_noise_path(self, grid: GridSpec, seed: int, sigma: float = None) -> NoisePath:
+        return NoisePath(self.build_noise_spec(seed, sigma), grid)
+
     def build_nonlinearity(self) -> Nonlinearity:
-        nl = self.nonlinearity
-        return builtin_family(
-            kind=nl.get("kind", "sine"),
-            dim=int(self.grid.get("dim", 1)),
-            kappa=nl.get("kappa"),
-            matrix=nl.get("matrix"),
-        )
+        nl = self.section("nonlinearity")
+        return builtin_family(kind=nl["kind"], dim=int(self.section("grid")["dim"]),
+                              kappa=nl["kappa"], matrix=nl["matrix"])
 
     def build_regularity(self, grid: GridSpec) -> RegularityParams:
         r = self.regularity
         return RegularityParams.for_grid(
             grid,
-            alpha=float(self.noise.get("alpha", 0.75)),
+            alpha=float(self.section("noise")["alpha"]),
             r_min_factor=int(r["r_min_factor"]),
             r_max=float(r["r_max"]),
             pair_budget=int(r["pair_budget"]),
@@ -227,33 +208,30 @@ class ExperimentConfig:
 
     def parameter_block(self) -> dict:
         A = self.build_nonlinearity()
-        alpha = float(self.noise.get("alpha", 0.75))
-        dim = int(self.grid.get("dim", 1))
+        g, n = self.section("grid"), self.section("noise")
+        alpha = float(n["alpha"])
+        dim = int(g["dim"])
         return {
             "alpha": alpha,
             "s": 2 * alpha + dim,
-            "sigma": float(self.noise.get("sigma", 1.0)),
+            "sigma": float(n["sigma"]),
             "nonlinearity": A.name,
             "kappa": A.params.get("kappa"),
             "lambda": A.lam,
             "Lambda": A.Lam,
             "dim": dim,
-            "n": int(self.grid.get("n", 256)),
-            "cfl": float(self.grid.get("cfl", 0.25)),
+            "n": int(g["n"]),
+            "cfl": float(g["cfl"]),
         }
-
-
-def _merge_known(section: str, defaults: dict, given: dict) -> dict:
-    """``defaults`` updated by ``given``; a key without a default is a typo."""
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}; known: {sorted(defaults)}")
-    return {**defaults, **given}
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
 
 @dataclass
 class Check:
@@ -262,9 +240,6 @@ class Check:
     value: Optional[float] = None
     threshold: str = ""
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -288,6 +263,10 @@ class RunReport:
                   threshold=threshold, detail=detail)
         )
 
+    def add_at_most(self, name, value, cap, detail="") -> None:
+        """A check that ``value`` is at most ``cap``."""
+        self.add_check(name, value <= cap, value, f"<= {cap}", detail=detail)
+
     def body_dict(self) -> dict:
         """Deterministic report body; wall-clock is deliberately excluded."""
         return {
@@ -295,35 +274,70 @@ class RunReport:
             "config_hash": self.config_hash,
             "parameters": self.parameter_block,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "metrics": self.metrics,
             "artifacts": self.artifacts,
         }
 
     def body_json(self) -> str:
-        return json.dumps(self.body_dict(), sort_keys=True, indent=2)
+        return _json(self.body_dict())
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    d = Path(cfg.output_dir) / cfg.config_hash
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+# ---------------------------------------------------------------------------
+# The runner skeleton
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Run:
+    """What the runner hands an experiment body."""
+
+    cfg: ExperimentConfig
+    grid: GridSpec
+    seeds: List[int]
+    report: RunReport
+    out: Path
+
+    def artifact(self, name: str) -> Path:
+        """The path of a new artifact; the report lists it in this order."""
+        self.report.artifacts.append(name)
+        return self.out / name
+
+    def write_csv(self, name: str, header: list, rows) -> None:
+        with self.artifact(name).open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
 
-def write_report(cfg: ExperimentConfig, report: RunReport) -> Path:
-    out = _out_dir(cfg)
+def run_experiment(cfg: ExperimentConfig) -> RunReport:
+    t_start = time.time()
+    if not cfg.seeds:  # before the output directory is made
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} samples randomness: provide --seed or config seeds"
+        )
+    grid = cfg.build_grid()
+    report = RunReport(cfg.experiment, cfg.config_hash, cfg.parameter_block())
+    out = Path(cfg.output_dir) / cfg.config_hash
+    out.mkdir(parents=True, exist_ok=True)
+    EXPERIMENTS[cfg.experiment].body(_Run(cfg, grid, [int(s) for s in cfg.seeds], report, out))
+    report.wallclock_s = time.time() - t_start
     (out / "report.json").write_text(report.body_json())
-    meta = {
-        "wallclock_s": report.wallclock_s,
-        "config": cfg.to_dict(),
-    }
-    (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
-    return out / "report.json"
+    (out / "run_meta.json").write_text(_json({"wallclock_s": report.wallclock_s,
+                                              "config": cfg.to_dict()}))
+    return report
 
 
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
+def _solve(path: NoisePath, A: Nonlinearity, members: list) -> list:
+    """One sweep of ``members`` on ``path`` with ``A`` as the flux: a member
+    ``A`` takes the flux step, any other member is a constant coefficient."""
+    return solve_anisotropic_batch(SolveConfig(grid=path.grid, path=path, A=A), members)
+
+
+def _model_member(A: Nonlinearity):
+    """The sweep member for u: with constant DA the quasilinear equation is
+    the frozen anisotropic one, so the exact integrator applies to u."""
+    return A.linear_matrix if A.is_linear else A
+
 
 def draw_basepoints(
     grid: GridSpec, times: np.ndarray, count: int, seed: int, t_min: float, t_max: float
@@ -346,58 +360,28 @@ def draw_basepoints(
             continue
         used.add(key)
         x = tuple(v * grid.dx for v in node)
-        out.append((float(times[it]), x if grid.dim > 1 else (x[0],)))
-    return [(t, x[0] if grid.dim == 1 else x) for t, x in out]
-
-
-def _refined(cfg: ExperimentConfig, grid: GridSpec) -> GridSpec:
-    """The n -> 2n refinement of grid at the config's cfl."""
-    return GridSpec.create(dim=grid.dim, n=2 * grid.n,
-                           cfl=float(cfg.grid.get("cfl", 0.25)), t_end=grid.t_end)
-
-
-def _require_seeds(cfg: ExperimentConfig) -> List[int]:
-    if not cfg.seeds:
-        raise ConfigError(
-            f"experiment {cfg.experiment!r} samples randomness: provide --seed or config seeds"
-        )
-    return [int(s) for s in cfg.seeds]
+        out.append((float(times[it]), x[0] if grid.dim == 1 else x))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # noise-diag
 # ---------------------------------------------------------------------------
 
-def run_noise_diag(cfg: ExperimentConfig) -> RunReport:
-    t_start = time.time()
-    seeds = _require_seeds(cfg)
-    grid = cfg.build_grid()
-    p = cfg.params
-    report = RunReport("noise-diag", cfg.config_hash, cfg.parameter_block())
-    out = _out_dir(cfg)
-
+def _noise_diag(run: _Run) -> None:
+    cfg, grid, report, p = run.cfg, run.grid, run.report, run.cfg.params
     all_diags = {}
-    for seed in seeds:
-        spec = cfg.build_noise_spec(seed)
-        path = NoisePath(spec, grid)
+    for seed in run.seeds:
+        path = cfg.build_noise_path(grid, seed)
         diag = covariance_diagnostics(path, int(p["n_samples"]), int(p["max_lag"]))
         all_diags[str(seed)] = diag.to_dict()
         rel = max(diag.covariance_rel_error)
-        report.add_check(
-            f"covariance_rel_error[seed={seed}]", rel <= p["covariance_rtol"], rel,
-            f"<= {p['covariance_rtol']}",
-            detail=f"lags {diag.lags}",
-        )
-        report.add_check(
-            f"disjoint_step_correlation[seed={seed}]",
-            diag.disjoint_step_correlation <= p["whiteness_cap"],
-            diag.disjoint_step_correlation, f"<= {p['whiteness_cap']}",
-        )
-        report.add_check(
-            f"imag_residue[seed={seed}]",
-            diag.max_imag_residue <= p["imag_residue_cap"],
-            diag.max_imag_residue, f"<= {p['imag_residue_cap']}",
-        )
+        report.add_at_most(f"covariance_rel_error[seed={seed}]", rel, p["covariance_rtol"],
+                           detail=f"lags {diag.lags}")
+        report.add_at_most(f"disjoint_step_correlation[seed={seed}]",
+                           diag.disjoint_step_correlation, p["whiteness_cap"])
+        report.add_at_most(f"imag_residue[seed={seed}]", diag.max_imag_residue,
+                           p["imag_residue_cap"])
         report.add_check(f"deterministic_replay[seed={seed}]", diag.deterministic_replay)
         stat_cap = 2.0 * np.sqrt(2.0 * np.log(max(grid.n**grid.dim, 2)))
         report.add_check(
@@ -406,54 +390,35 @@ def run_noise_diag(cfg: ExperimentConfig) -> RunReport:
             diag.stationarity_max_sigmas, f"<= {stat_cap:.2f} (max-deviation sigmas)",
         )
 
-    spec0 = cfg.build_noise_spec(seeds[0])
-    write_spectrum_csv(spec0, grid, out / "spectrum.csv")
-    (out / "diagnostics.json").write_text(json.dumps(all_diags, sort_keys=True, indent=2))
-    report.artifacts = ["spectrum.csv", "diagnostics.json"]
-    report.metrics["seeds"] = seeds
-    report.wallclock_s = time.time() - t_start
-    write_report(cfg, report)
-    return report
+    write_spectrum_csv(cfg.build_noise_spec(run.seeds[0]), grid, run.artifact("spectrum.csv"))
+    run.artifact("diagnostics.json").write_text(_json(all_diags))
+    report.metrics["seeds"] = run.seeds
 
 
 # ---------------------------------------------------------------------------
 # theorem1
 # ---------------------------------------------------------------------------
 
-def _model_member(A: Nonlinearity):
-    """The sweep member for u: with constant DA the quasilinear equation is
-    the frozen anisotropic one, so the exact integrator applies to u."""
-    return A.linear_matrix if A.is_linear else A
-
-
-def run_theorem1(cfg: ExperimentConfig) -> RunReport:
-    t_start = time.time()
-    seeds = _require_seeds(cfg)
-    grid = cfg.build_grid()
+def _theorem1(run: _Run) -> None:
+    cfg, grid, report, p = run.cfg, run.grid, run.report, run.cfg.params
     A = cfg.build_nonlinearity()
     reg = cfg.build_regularity(grid)
-    p = cfg.params
     alpha = reg.alpha
-    report = RunReport("theorem1", cfg.config_hash, cfg.parameter_block())
-    out = _out_dir(cfg)
 
     mreport = ModellingReport(alpha=alpha)
     seminorms = {}
     path_digests = {}
-    degenerate_linear = A.is_linear
     errors = []
 
-    for seed in seeds:
-        spec = cfg.build_noise_spec(seed)
-        path = NoisePath(spec, grid)
+    for seed in run.seeds:
+        path = cfg.build_noise_path(grid, seed)
         # every solver below consumes this path; the digest certifies that
         # regenerated increments are shared bit-identically
         path_digests[str(seed)] = path.digest(
             range(0, grid.n_steps, max(1, grid.n_steps // 16))
         )
-        scfg = SolveConfig(grid=grid, path=path, A=A)
         try:
-            u, v = solve_anisotropic_batch(scfg, [_model_member(A), None])
+            u, v = _solve(path, A, [_model_member(A), None])
         except SolverDivergenceError as exc:
             errors.append({"seed": seed, "error": str(exc)})
             continue
@@ -464,11 +429,10 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
         }
         zs = draw_basepoints(
             grid, u.state.times, int(p["basepoints"]), seed,
-            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, spec.t_support[1]),
+            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, path.spec.t_support[1]),
         )
         coeffs = [freeze(A, u.gradient_at(z), basepoint=z) for z in zs]
-        vas = solve_anisotropic_batch(scfg, coeffs)
-        for z, va in zip(zs, vas):
+        for z, va in zip(zs, _solve(path, A, coeffs)):
             rep = modelling_remainder(
                 u.gradient, va.gradient, z, reg,
                 with_increment_constant=bool(p["companion_increment_constant"]),
@@ -482,14 +446,13 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
     report.add_check("solver_completed", not errors and n_entries > 0,
                      len(errors), "no divergence", detail=json.dumps(errors))
 
-    if degenerate_linear:
+    if A.is_linear:
         worst = max(
             (max(rep.residuals + rep.residuals_free) for _, rep in mreport.entries),
             default=float("inf"),
         )
-        report.add_check(
-            "degenerate_linear_remainder", worst <= p["linear_remainder_tol"],
-            worst, f"<= {p['linear_remainder_tol']}",
+        report.add_at_most(
+            "degenerate_linear_remainder", worst, p["linear_remainder_tol"],
             detail="exactly linear flux: model equation coincides with the solved one",
         )
     elif n_entries:
@@ -517,26 +480,24 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
     report.metrics["modelling_constant"] = mreport.m_global
     report.metrics["seminorms"] = seminorms
     report.metrics["path_digests"] = path_digests
-    report.metrics["degenerate_linear"] = degenerate_linear
+    report.metrics["degenerate_linear"] = A.is_linear
     report.metrics["n_basepoints"] = n_entries
     report.metrics["slopes"] = mreport.slopes()
     report.metrics["baseline_slopes"] = mreport.baseline_slopes()
 
     # --- artifacts ----------------------------------------------------------
-    (out / "modelling_report.json").write_text(
-        json.dumps(mreport.to_dict(), sort_keys=True, indent=2)
+    run.artifact("modelling_report.json").write_text(_json(mreport.to_dict()))
+    run.write_csv(
+        "remainder.csv",
+        ["z_id", "seed", "r", "residual", "residual_free", "baseline_rms", "slope",
+         "baseline_slope"],
+        ([z_id, seed, repr(r), repr(res), repr(resf), repr(base),
+          repr(rep.slope) if rep.slope is not None else "",
+          repr(rep.baseline_slope) if rep.baseline_slope is not None else ""]
+         for z_id, (seed, rep) in enumerate(mreport.entries)
+         for r, res, resf, base in zip(rep.radii, rep.residuals,
+                                       rep.residuals_free, rep.baseline_values)),
     )
-    with (out / "remainder.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z_id", "seed", "r", "residual", "residual_free",
-                    "baseline_rms", "slope", "baseline_slope"])
-        for z_id, (seed, rep) in enumerate(mreport.entries):
-            for r, res, resf, base in zip(rep.radii, rep.residuals,
-                                          rep.residuals_free, rep.baseline_values):
-                w.writerow([z_id, seed, repr(r), repr(res), repr(resf), repr(base),
-                            repr(rep.slope) if rep.slope is not None else "",
-                            repr(rep.baseline_slope) if rep.baseline_slope is not None else ""])
-    report.artifacts = ["modelling_report.json", "remainder.csv"]
 
     if cfg.plots and n_entries:
         from .plots import loglog_svg
@@ -547,14 +508,9 @@ def run_theorem1(cfg: ExperimentConfig) -> RunReport:
             if max(rep.residuals) > 0
         ]
         if series:
-            loglog_svg(series, out / "remainder.svg",
+            loglog_svg(series, run.artifact("remainder.svg"),
                        guides=[2 * alpha, alpha],
                        title="modelled remainder vs radius")
-            report.artifacts.append("remainder.svg")
-
-    report.wallclock_s = time.time() - t_start
-    write_report(cfg, report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +544,14 @@ _LEMMA_FAMILIES = (
 )
 
 
-def _flux_holder_ratio(A, grad, z, l, y, alpha, reg) -> Optional[float]:
+def _flux_holder_ratio(A, grad, z, l, y, reg) -> Optional[float]:
     """[(a_y - a(z)) delta_y grad]_alpha on P_2l against l^alpha [grad]_alpha on P_3l."""
     g_field = flux_mismatch(A, grad, y, z)
     cyl2 = ParabolicCylinder(t=z[0], x=z[1], r=2 * float(l))
     cyl3 = ParabolicCylinder(t=z[0], x=z[1], r=3 * float(l))
-    g_semi = holder_seminorm(g_field, alpha, region=cyl2, pair_budget=reg.pair_budget // 10)
-    gu_semi = holder_seminorm(grad, alpha, region=cyl3, pair_budget=reg.pair_budget // 10)
-    return _ratio(g_semi, float(l) ** alpha * gu_semi, 1e-11)
+    g_semi = holder_seminorm(g_field, reg.alpha, region=cyl2, pair_budget=reg.pair_budget // 10)
+    gu_semi = holder_seminorm(grad, reg.alpha, region=cyl3, pair_budget=reg.pair_budget // 10)
+    return _ratio(g_semi, float(l) ** reg.alpha * gu_semi, 1e-11)
 
 
 def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) -> dict:
@@ -615,6 +571,8 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
     ztol = p["zero_tol"]
     radii_ball = [r for r in reg.radii if r <= 0.25]
     radii_small = [r for r in reg.radii if 3 * r < 0.5 and r <= 0.126]
+    # fixed physical shift so the coefficient family compares like for like across n
+    y0 = lattice_shifts(grid, max(radii_small), budget=1)[0]
     corpus = build_corpus(grid, n_random=int(p["n_random"]), r_max=max(radii_ball))
 
     corpus_consts = {name: 0.0 for name in _LEMMA_FAMILIES}
@@ -625,6 +583,15 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
         if value is not None and np.isfinite(value):
             table[name] = max(table[name], value)
 
+    def spacetime_ratio(grad, scalar, z):
+        lhs = _affine_sup(grad, z, radii_ball, alpha, spacetime=True)
+        rhs = increment_constant(grad, z, reg, spacetime=True) + time_term_constant(scalar, z, reg)
+        return _ratio(lhs, rhs, ztol)
+
+    def coefficient_ratio(grad, grad_semi):
+        ay = increment_averaged_coefficient(A, grad, y0)
+        return _ratio(holder_seminorm(ay, alpha, pair_budget=reg.pair_budget // 4), grad_semi, ztol)
+
     for entry in corpus:
         z = entry.basepoint
         lhs_space = _affine_sup(entry.gradient, z, radii_ball, alpha, spacetime=False)
@@ -634,19 +601,11 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
         bump(corpus_consts, "affine_from_increments_space", _ratio(lhs_space, n_space, ztol))
 
         if entry.time_dependent:
-            lhs_st = _affine_sup(entry.gradient, z, radii_ball, alpha, spacetime=True)
-            n_st = increment_constant(entry.gradient, z, reg, spacetime=True)
-            t_terms = time_term_constant(entry.scalar, z, reg)
             bump(corpus_consts, "affine_from_increments_spacetime",
-                 _ratio(lhs_st, n_st + t_terms, ztol))
+                 spacetime_ratio(entry.gradient, entry.scalar, z))
 
         gf_semi = holder_seminorm(entry.gradient, alpha, pair_budget=reg.pair_budget // 4)
-        # fixed physical shift so the family compares like for like across n
-        y0 = lattice_shifts(grid, max(radii_small), budget=1)[0]
-        ay = increment_averaged_coefficient(A, entry.gradient, y0)
-        bump(corpus_consts, "coefficient_holder_ratio",
-             _ratio(holder_seminorm(ay, alpha, pair_budget=reg.pair_budget // 4),
-                    gf_semi, ztol))
+        bump(corpus_consts, "coefficient_holder_ratio", coefficient_ratio(entry.gradient, gf_semi))
 
         for l in radii_small:
             for y in lattice_shifts(grid, l, budget=4):
@@ -657,35 +616,25 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
             if not entry.expect_zero_increment_constant:
                 for y in lattice_shifts(grid, l, budget=2):
                     bump(corpus_consts, "flux_mismatch_holder",
-                         _flux_holder_ratio(A, entry.gradient, z, l, y, alpha, reg))
+                         _flux_holder_ratio(A, entry.gradient, z, l, y, reg))
 
-    # simulated gradient fields exercise the same families on real solutions
+    # simulated gradient fields exercise the same families on real solutions;
+    # u advances through the flux step even when A is linear
     for seed in seeds:
-        spec = cfg.build_noise_spec(seed)
-        path = NoisePath(spec, grid)
-        scfg = SolveConfig(grid=grid, path=path, A=A)
-        u = solve_nonlinear(scfg)
+        (u,) = _solve(cfg.build_noise_path(grid, seed), A, [A])
         gu = u.gradient
         su_global = holder_seminorm(gu, alpha, pair_budget=reg.pair_budget)
         zs = draw_basepoints(grid, u.state.times, int(p["sim_basepoints"]), seed,
                              t_min=0.2 * grid.t_end, t_max=grid.t_end)
         for z in zs:
-            lhs_st = _affine_sup(gu, z, radii_ball, alpha, spacetime=True)
-            n_st = increment_constant(gu, z, reg, spacetime=True)
-            t_terms = time_term_constant(u.state, z, reg)
-            bump(sim_consts, "affine_from_increments_spacetime",
-                 _ratio(lhs_st, n_st + t_terms, ztol))
+            bump(sim_consts, "affine_from_increments_spacetime", spacetime_ratio(gu, u.state, z))
             for l in radii_small[:2]:
                 for y in lattice_shifts(grid, l, budget=2):
                     lhs, rhs = increment_affine_pair(u.state, gu, z, y, l)
                     bump(sim_consts, "increment_affine_transfer", _ratio(lhs, rhs, ztol))
                     bump(sim_consts, "flux_mismatch_holder",
-                         _flux_holder_ratio(A, gu, z, l, y, alpha, reg))
-        y0 = lattice_shifts(grid, max(radii_small), budget=1)[0]
-        ay = increment_averaged_coefficient(A, gu, y0)
-        bump(sim_consts, "coefficient_holder_ratio",
-             _ratio(holder_seminorm(ay, alpha, pair_budget=reg.pair_budget // 4),
-                    su_global, ztol))
+                         _flux_holder_ratio(A, gu, z, l, y, reg))
+        bump(sim_consts, "coefficient_holder_ratio", coefficient_ratio(gu, su_global))
 
     return {
         "constants": corpus_consts,
@@ -694,31 +643,22 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
     }
 
 
-def run_lemma_suite(cfg: ExperimentConfig) -> RunReport:
-    t_start = time.time()
-    seeds = _require_seeds(cfg)
-    grid = cfg.build_grid()
-    p = cfg.params
-    report = RunReport("lemmas", cfg.config_hash, cfg.parameter_block())
-    out = _out_dir(cfg)
-
-    res_n = _lemma_constants(cfg, grid, seeds)
+def _lemmas(run: _Run) -> None:
+    cfg, report, p = run.cfg, run.report, run.cfg.params
+    res_n = _lemma_constants(cfg, run.grid, run.seeds)
     cap = p["constant_cap"]
     for name in _LEMMA_FAMILIES:
         val = max(res_n["constants"][name], res_n["sim_constants"][name])
         limit = p["coefficient_ratio_cap"] if name == "coefficient_holder_ratio" else cap
-        report.add_check(name, val <= limit and np.isfinite(val), val, f"<= {limit}",
-                         detail=f"corpus {res_n['constants'][name]:.4g}, "
-                                f"simulated {res_n['sim_constants'][name]:.4g}")
-    report.add_check(
-        "zero_families_vanish", res_n["zero_worst"] <= p["zero_tol"],
-        res_n["zero_worst"], f"<= {p['zero_tol']}",
-        detail="affine/quadratic corpus entries",
-    )
+        report.add_at_most(name, val, limit,
+                           detail=f"corpus {res_n['constants'][name]:.4g}, "
+                                  f"simulated {res_n['sim_constants'][name]:.4g}")
+    report.add_at_most("zero_families_vanish", res_n["zero_worst"], p["zero_tol"],
+                       detail="affine/quadratic corpus entries")
 
     refine = {}
     if p["refine"]:
-        res_2n = _lemma_constants(cfg, _refined(cfg, grid), seeds)
+        res_2n = _lemma_constants(cfg, cfg.build_grid(refine=2), run.seeds)
         # refinement stability is judged on the deterministic corpus, which is
         # the same analytic data at both resolutions
         for name in _LEMMA_FAMILIES:
@@ -731,55 +671,38 @@ def run_lemma_suite(cfg: ExperimentConfig) -> RunReport:
             else:
                 change = abs(v2 - val) / val
             refine[name] = {"n": val, "2n": v2, "rel_change": change}
-            report.add_check(
-                f"refinement_stability[{name}]",
-                change <= p["refine_rel_change"], change,
-                f"<= {p['refine_rel_change']}",
-            )
+            report.add_at_most(f"refinement_stability[{name}]", change, p["refine_rel_change"])
 
     report.metrics["constants"] = res_n["constants"]
     report.metrics["sim_constants"] = res_n["sim_constants"]
     report.metrics["refinement"] = refine
-    with (out / "constants.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["family", "constant", "constant_sim", "constant_2n", "rel_change"])
-        for name in _LEMMA_FAMILIES:
-            r = refine.get(name, {})
-            w.writerow([
-                name, repr(res_n["constants"][name]), repr(res_n["sim_constants"][name]),
-                repr(r.get("2n", "")), repr(r.get("rel_change", "")),
-            ])
-    report.artifacts = ["constants.csv"]
-    report.wallclock_s = time.time() - t_start
-    write_report(cfg, report)
-    return report
+    unrefined = {"2n": "", "rel_change": ""}
+    run.write_csv(
+        "constants.csv", ["family", "constant", "constant_sim", "constant_2n", "rel_change"],
+        ([name, repr(res_n["constants"][name]), repr(res_n["sim_constants"][name]),
+          repr(refine.get(name, unrefined)["2n"]),
+          repr(refine.get(name, unrefined)["rel_change"])] for name in _LEMMA_FAMILIES),
+    )
 
 
 # ---------------------------------------------------------------------------
 # apriori-sweep
 # ---------------------------------------------------------------------------
 
-def run_apriori_sweep(cfg: ExperimentConfig) -> RunReport:
-    t_start = time.time()
-    seeds = _require_seeds(cfg)
-    grid = cfg.build_grid()
+def _apriori_sweep(run: _Run) -> None:
+    cfg, grid, report, p = run.cfg, run.grid, run.report, run.cfg.params
     A = cfg.build_nonlinearity()
     reg = cfg.build_regularity(grid)
-    p = cfg.params
     alpha = reg.alpha
-    report = RunReport("apriori-sweep", cfg.config_hash, cfg.parameter_block())
-    out = _out_dir(cfg)
 
     sigmas = [float(s) for s in p["sigmas"]]
     rows = []
     failures = []
-    for seed in seeds:
+    for seed in run.seeds:
         for sigma in sigmas:
-            spec = cfg.build_noise_spec(seed, sigma=sigma)
-            path = NoisePath(spec, grid)
-            scfg = SolveConfig(grid=grid, path=path, A=A)
+            path = cfg.build_noise_path(grid, seed, sigma=sigma)
             try:
-                u, v = solve_anisotropic_batch(scfg, [_model_member(A), None])
+                u, v = _solve(path, A, [_model_member(A), None])
             except SolverDivergenceError as exc:
                 failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
                 continue
@@ -819,51 +742,74 @@ def run_apriori_sweep(cfg: ExperimentConfig) -> RunReport:
         exponent = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     report.metrics["power_law_exponent"] = exponent
 
-    if p["refine"] and rows:
-        grid2 = _refined(cfg, grid)
-        ref_rows = []
-        for seed in seeds[:1]:
-            spec = cfg.build_noise_spec(seed, sigma=1.0)
-            path = NoisePath(spec, grid2)
-            scfg = SolveConfig(grid=grid2, path=path, A=A)
-            (u2,) = solve_anisotropic_batch(scfg, [_model_member(A)])
-            su2 = holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
-            base = [r for r in rows if r["seed"] == seed and r["sigma"] == 1.0]
-            if base:
-                ratio = su2 / base[0]["grad_u"] if base[0]["grad_u"] > 0 else float("inf")
-                ref_rows.append(ratio)
-        if ref_rows:
-            cap = p["refine_ratio_cap"]
-            ok = all(1.0 / cap <= r <= cap for r in ref_rows)
-            report.add_check("refinement_stability", ok, ref_rows[0],
-                             f"within [{1/cap:.3f}, {cap}]")
+    # the first seed at sigma = 1 against the same run at n -> 2n
+    base = [r for r in rows if r["seed"] == run.seeds[0] and r["sigma"] == 1.0]
+    if p["refine"] and base:
+        path2 = cfg.build_noise_path(cfg.build_grid(refine=2), run.seeds[0], sigma=1.0)
+        (u2,) = _solve(path2, A, [_model_member(A)])
+        su2 = holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
+        ratio = su2 / base[0]["grad_u"] if base[0]["grad_u"] > 0 else float("inf")
+        cap = p["refine_ratio_cap"]
+        report.add_check("refinement_stability", 1.0 / cap <= ratio <= cap, ratio,
+                         f"within [{1/cap:.3f}, {cap}]")
 
     report.metrics["rows"] = rows
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "sigma", "grad_v_seminorm", "grad_u_seminorm"])
-        for r in rows:
-            w.writerow([r["seed"], repr(r["sigma"]), repr(r["grad_v"]), repr(r["grad_u"])])
-    report.artifacts = ["sweep.csv"]
-    report.wallclock_s = time.time() - t_start
-    write_report(cfg, report)
-    return report
+    run.write_csv(
+        "sweep.csv", ["seed", "sigma", "grad_v_seminorm", "grad_u_seminorm"],
+        ([r["seed"], repr(r["sigma"]), repr(r["grad_v"]), repr(r["grad_u"])] for r in rows),
+    )
 
 
-RUNNERS = {
-    "noise-diag": run_noise_diag,
-    "theorem1": run_theorem1,
-    "lemmas": run_lemma_suite,
-    "apriori-sweep": run_apriori_sweep,
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+class Experiment(NamedTuple):
+    body: Callable[[_Run], None]  # adds the experiment's checks, metrics and artifacts
+    params: dict  # the defaults of ``params``; a key not listed is rejected
+
+
+EXPERIMENTS = {
+    "noise-diag": Experiment(_noise_diag, {
+        "n_samples": 10_000,
+        "max_lag": 4,
+        "covariance_rtol": 0.05,
+        "whiteness_cap": 0.05,
+        "imag_residue_cap": 1e-12,
+    }),
+    "theorem1": Experiment(_theorem1, {
+        "basepoints": 16,
+        "slope_margin": 0.25,
+        "pass_fraction": 0.8,
+        "t_min_frac": 0.2,
+        "linear_remainder_tol": 1e-9,
+        "companion_increment_constant": True,
+    }),
+    "lemmas": Experiment(_lemmas, {
+        "constant_cap": 50.0,
+        "coefficient_ratio_cap": 1.05,
+        "refine_rel_change": 0.5,
+        "zero_tol": 1e-9,
+        "n_random": 20,
+        "sim_basepoints": 3,
+        "refine": True,
+    }),
+    "apriori-sweep": Experiment(_apriori_sweep, {
+        "sigmas": [0.25, 0.5, 1.0, 2.0],
+        "scaling_rtol": 1e-9,
+        "refine_ratio_cap": 1.5,
+        "refine": True,
+    }),
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    return RUNNERS[cfg.experiment](cfg)
+# per-experiment names for callers; the config, not the name, picks the experiment
+run_noise_diag = run_theorem1 = run_lemma_suite = run_apriori_sweep = run_experiment
 
 
 def validate_config(cfg: ExperimentConfig) -> dict:
-    """Construct every module object the config references; raise on errors."""
+    """Construct every module object the config references; raise on errors.
+    ``n_steps`` and ``n_snapshots`` give the size of one solve."""
     grid = cfg.build_grid()
     A = cfg.build_nonlinearity()
     cert = validate(A)
@@ -872,6 +818,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     return {
         "config_hash": cfg.config_hash,
         "grid": grid.to_dict(),
+        "n_steps": grid.n_steps,
+        "n_snapshots": len(grid.snapshot_times()),
         "noise": spec.to_dict(),
         "nonlinearity": cert.to_dict(),
         "radii": [float(r) for r in reg.radii],

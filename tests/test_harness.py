@@ -10,6 +10,7 @@ from quasiheat.harness import (
     ExperimentConfig,
     draw_basepoints,
     run_apriori_sweep,
+    run_experiment,
     run_noise_diag,
     run_theorem1,
     validate_config,
@@ -105,6 +106,54 @@ def test_validate_config(tmp_path):
     assert summary["parameters"]["s"] == pytest.approx(2.5)
     assert summary["grid"]["n"] == 32
     assert len(summary["radii"]) >= 2
+    # the size of one solve: dt = cfl/n^2 to t_end = 1, a snapshot every snap_stride steps
+    assert summary["n_steps"] == 4096
+    assert summary["n_snapshots"] == 4096 // summary["grid"]["snap_stride"] + 1 == 65
+
+
+def test_config_hash_pinned():
+    """Output directories are named by the hash; these are its values since
+    the report format was fixed."""
+    headline = {
+        "experiment": "theorem1",
+        "grid": {"dim": 1, "n": 256, "t_end": 1.0, "cfl": 0.25},
+        "noise": {"alpha": 0.75, "sigma": 1.0},
+        "nonlinearity": {"kind": "sine", "kappa": 0.5},
+        "params": {"basepoints": 16},
+        "seeds": [1, 2, 3, 4],
+        "output_dir": "out",
+    }
+    assert ExperimentConfig.from_dict(headline).config_hash == "fb186d12c4f6"
+    assert ExperimentConfig(experiment="noise-diag").config_hash == "9495a93bd2d7"
+    partial = ExperimentConfig(experiment="lemmas", grid={"n": 64},
+                               nonlinearity={"kind": "linear", "matrix": [[0.8]]})
+    assert partial.config_hash == "2e6c231a1ab7"  # sections are hashed as given
+
+
+def test_unknown_grid_noise_nonlinearity_keys_rejected(tmp_path):
+    for section, given in (("grid", {"dim": 1, "nn": 64}),
+                           ("noise", {"alpha": 0.75, "sigm": 2.0}),
+                           ("nonlinearity", {"kind": "sine", "kapa": 0.2})):
+        with pytest.raises(ConfigError, match=f"unknown {section} keys"):
+            ExperimentConfig.from_dict({"experiment": "theorem1", section: given})
+    cfg = noise_cfg(tmp_path)
+    before = cfg.to_dict()
+    for dotted, value in (("grid.nn", "64"), ("noise.sigm", "2.0"),
+                          ("nonlinearity.kapa", "0.2"), ("grid", '{"n": 64}'),
+                          ("grid.n=64", "64")):
+        with pytest.raises(ConfigError):
+            cfg.apply_override(dotted, value)
+    assert cfg.to_dict() == before
+    cfg.apply_override("nonlinearity.matrix", "[[0.8]]")
+    assert cfg.nonlinearity["matrix"] == [[0.8]]
+
+
+def test_omitted_kappa_takes_the_one_default():
+    cfg = ExperimentConfig(experiment="theorem1", nonlinearity={"kind": "sine"})
+    assert cfg.nonlinearity == {"kind": "sine"}  # stored as given
+    A = cfg.build_nonlinearity()
+    assert A.params["kappa"] == 0.5 and not A.is_linear
+    assert cfg.parameter_block() == ExperimentConfig(experiment="theorem1").parameter_block()
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +206,34 @@ def test_requires_seeds(tmp_path):
     cfg = noise_cfg(tmp_path, seeds=[])
     with pytest.raises(ConfigError):
         run_noise_diag(cfg)
+    assert not (tmp_path / "out").exists()  # raised before the output directory is made
+
+
+_TINY = {
+    "noise-diag": {"grid": {"dim": 1, "n": 32},
+                   "params": {"n_samples": 1000, "covariance_rtol": 0.2}},
+    "theorem1": {"grid": {"dim": 1, "n": 64}, "regularity": {"r_min_factor": 2},
+                 "params": {"basepoints": 2, "companion_increment_constant": False}},
+    "lemmas": {"grid": {"dim": 1, "n": 32}, "params": {"n_random": 2, "sim_basepoints": 1}},
+    "apriori-sweep": {"grid": {"dim": 1, "n": 32}, "params": {"sigmas": [0.5, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("experiment", list(_TINY))
+def test_run_experiment_writes_report_meta_and_listed_artifacts(tmp_path, experiment):
+    cfg = ExperimentConfig.from_dict(dict(_TINY[experiment], experiment=experiment, seeds=[2],
+                                          output_dir=str(tmp_path / "out")))
+    report = run_experiment(cfg)
+    out = tmp_path / "out" / cfg.config_hash
+    assert report.artifacts and report.checks
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["report.json", "run_meta.json"] + report.artifacts)
+    body = (out / "report.json").read_text()
+    assert body == report.body_json()
+    assert "wallclock" not in body
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["wallclock_s"] == report.wallclock_s > 0
+    assert meta["config"] == cfg.to_dict()
 
 
 def theorem1_small_cfg(tmp_path, **over):
@@ -243,7 +320,9 @@ def test_cli_validate_config(tmp_path, capsys):
     cfg_file.write_text(json.dumps(noise_cfg(tmp_path).to_dict()))
     rc = cli_main(["validate-config", "--config", str(cfg_file)])
     assert rc == 0
-    assert "config_hash" in capsys.readouterr().out
+    summary = json.loads(capsys.readouterr().out)
+    assert "config_hash" in summary
+    assert (summary["n_steps"], summary["n_snapshots"]) == (4096, 65)
 
 
 def test_cli_noise_diag_exit_code(tmp_path, capsys):
