@@ -13,8 +13,8 @@ Two closely related problems back the regularity estimators:
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
   over samples.  The fit is a small dense LP (variables: model coefficients
-  plus one slack), solved with HiGHS after a least-squares warm start that
-  doubles as the degeneracy detector.  Because the model depends on the
+  plus one slack), solved with HiGHS once a rank check has found the model
+  identifiable; least squares stands in when it is not.  Because the model depends on the
   spatial offset only, samples sharing an offset are pruned to their
   componentwise envelope before the LP, which keeps the constraint count at
   twice the number of distinct offsets.
@@ -196,14 +196,12 @@ class AffineModel:
     """x |-> B (x - x') + b; fits assign symmetric entries from shared
     parameters, so B == B.T holds bitwise on their output."""
 
-    basepoint: np.ndarray
     B: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(-1))
-        object.__setattr__(self, "basepoint", np.asarray(self.basepoint, dtype=float).reshape(-1))
 
     def __call__(self, xrel: np.ndarray) -> np.ndarray:
         return np.asarray(xrel) @ self.B.T + self.b
@@ -213,7 +211,6 @@ class AffineModel:
 class ScalarAffine:
     """x |-> slope.(x - x') + offset, the scalar-valued fit used on increments."""
 
-    basepoint: np.ndarray
     slope: np.ndarray
     offset: float
 
@@ -245,38 +242,35 @@ def _prune_envelope(xrel: np.ndarray, values: np.ndarray) -> tuple:
     return x2, v2
 
 
-def _solve_minmax_lp(design: np.ndarray, targets: np.ndarray, warm: np.ndarray) -> tuple:
-    """min t s.t. |design @ theta - targets| <= t, refined from a warm start."""
+def _minmax_fit(design: np.ndarray, targets: np.ndarray) -> tuple:
+    """(theta, t, degenerate) for min t s.t. |design @ theta - targets| <= t.
+
+    A full-rank design goes to HiGHS.  A rank-deficient design, or an LP that
+    fails, falls back to the least-squares theta and the sup it achieves, and
+    is flagged degenerate.
+    """
     nrow, npar = design.shape
-    A_ub = np.zeros((2 * nrow, npar + 1))
-    A_ub[:nrow, :npar] = design
-    A_ub[nrow:, :npar] = -design
-    A_ub[:, npar] = -1.0
-    b_ub = np.concatenate([targets, -targets])
-    c = np.zeros(npar + 1)
-    c[npar] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * npar + [(0, None)],
-        method="highs",
-    )
-    if not res.success:
-        return warm, float(np.max(np.abs(design @ warm - targets))), True
-    return res.x[:npar], float(res.x[npar]), False
+    if np.linalg.matrix_rank(design) == npar:
+        A_ub = np.zeros((2 * nrow, npar + 1))
+        A_ub[:nrow, :npar] = design
+        A_ub[nrow:, :npar] = -design
+        A_ub[:, npar] = -1.0
+        c = np.zeros(npar + 1)
+        c[npar] = 1.0
+        res = linprog(
+            c,
+            A_ub=A_ub,
+            b_ub=np.concatenate([targets, -targets]),
+            bounds=[(None, None)] * npar + [(0, None)],
+            method="highs",
+        )
+        if res.success:
+            return res.x[:npar], float(res.x[npar]), False
+    theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    return theta, float(np.max(np.abs(design @ theta - targets))), True
 
 
-def _sym_index_pairs(d: int) -> list:
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def fit_affine_gradient(
-    xrel,
-    values,
-    pin_b: Optional[np.ndarray] = None,
-    symmetric: bool = True,
-) -> FitResult:
+def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> FitResult:
     """Min-max fit of a vector field by B(x - x') + b with symmetric B.
 
     ``values`` are d-component samples at offsets ``xrel`` from the
@@ -293,9 +287,8 @@ def fit_affine_gradient(
         v = v[:, None]
     if v.shape[1] != d:
         raise FitError("gradient fit expects d-component values")
-    n_par_b = 0 if pin_b is not None else d
-    pairs = _sym_index_pairs(d) if symmetric else [(i, j) for i in range(d) for j in range(d)]
-    n_par = len(pairs) + n_par_b
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]  # entries of sym(B)
+    n_par = len(pairs) + (0 if pin_b is not None else d)
     if 2 * x.shape[0] < n_par + 1:
         raise FitError(f"need at least {n_par + 1} samples, got {x.shape[0]}")
 
@@ -307,32 +300,19 @@ def fit_affine_gradient(
     design = np.zeros((xp.shape[0], d, n_par))
     for p_idx, (i, j) in enumerate(pairs):
         design[:, i, p_idx] += xp[:, j]
-        if symmetric and i != j:
+        if i != j:
             design[:, j, p_idx] += xp[:, i]
     if pin_b is None:
         for c in range(d):
             design[:, c, len(pairs) + c] = 1.0
     nrow = xp.shape[0] * d
-    design = design.reshape(nrow, n_par)
-    targets = vp.reshape(nrow)
-
-    warm, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    rank = np.linalg.matrix_rank(design)
-    degenerate = rank < n_par
-    if degenerate:
-        theta, resid = warm, float(np.max(np.abs(design @ warm - targets)))
-    else:
-        theta, resid, failed = _solve_minmax_lp(design, targets, warm)
-        degenerate = failed
+    theta, resid, degenerate = _minmax_fit(design.reshape(nrow, n_par), vp.reshape(nrow))
 
     B = np.zeros((d, d))
     for p_idx, (i, j) in enumerate(pairs):
-        B[i, j] = theta[p_idx]
-        if symmetric and i != j:
-            B[j, i] = theta[p_idx]
+        B[i, j] = B[j, i] = theta[p_idx]
     b = np.asarray(pin_b, dtype=float) if pin_b is not None else theta[len(pairs):]
-    model = AffineModel(basepoint=np.zeros(d), B=B, b=b)
-    return FitResult(model=model, residual=resid, degenerate=degenerate)
+    return FitResult(model=AffineModel(B=B, b=b), residual=resid, degenerate=degenerate)
 
 
 def fit_affine_scalar(xrel, values, pin_offset: Optional[float] = None) -> FitResult:
@@ -352,18 +332,7 @@ def fit_affine_scalar(xrel, values, pin_offset: Optional[float] = None) -> FitRe
     else:
         design = np.concatenate([xp, np.ones((xp.shape[0], 1))], axis=1)
 
-    warm, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    rank = np.linalg.matrix_rank(design)
-    degenerate = rank < n_par
-    if degenerate:
-        theta, resid = warm, float(np.max(np.abs(design @ warm - targets)))
-    else:
-        theta, resid, failed = _solve_minmax_lp(design, targets, warm)
-        degenerate = failed
-    slope = theta[:d]
+    theta, resid, degenerate = _minmax_fit(design, targets)
     offset = float(pin_offset) if pin_offset is not None else float(theta[d])
-    return FitResult(
-        model=ScalarAffine(basepoint=np.zeros(d), slope=slope, offset=offset),
-        residual=resid,
-        degenerate=degenerate,
-    )
+    return FitResult(model=ScalarAffine(slope=theta[:d], offset=offset),
+                     residual=resid, degenerate=degenerate)

@@ -240,10 +240,6 @@ class ParabolicCylinder:
             raise GridError(f"cylinder radius must lie in (0, 1/2), got {self.r}")
         object.__setattr__(self, "x", tuple(float(v) for v in np.atleast_1d(self.x)))
 
-    @property
-    def basepoint(self) -> tuple:
-        return (self.t, self.x)
-
 
 @dataclass(frozen=True)
 class CylinderSamples:

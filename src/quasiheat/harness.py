@@ -38,6 +38,8 @@ from .grid import GridSpec, SpaceTimeField
 from .noise import NoisePath, NoiseSpec, covariance_diagnostics, write_spectrum_csv
 from .nonlinearity import Nonlinearity, builtin_family, freeze, increment_averaged_coefficient, validate
 from .regularity import (
+    DEFAULTS as REGULARITY_DEFAULTS,
+    MIN_RADII,
     ModellingReport,
     RegularityParams,
     flux_mismatch,
@@ -59,14 +61,30 @@ class ConfigError(ValueError):
 _BASEPOINT_TAG = 0xBA5E
 
 # The one default of every key of these config sections; a key not listed is
-# rejected.  The defaults of ``params`` are per experiment (``EXPERIMENTS``).
+# rejected, and a value must have its default's JSON type.  The defaults of
+# ``params`` are per experiment (``EXPERIMENTS``).
 DEFAULTS = {
     "grid": {"dim": 1, "n": 256, "t_end": 1.0, "cfl": 0.25},
     "noise": {"alpha": 0.75, "sigma": 1.0},
     "nonlinearity": {"kind": "sine", "kappa": 0.5, "matrix": None},
-    "regularity": {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25},
+    "regularity": REGULARITY_DEFAULTS,
 }
 _SECTIONS = tuple(DEFAULTS) + ("params",)
+
+
+def _wrong_type(value, default) -> bool:
+    """Whether ``value`` lacks the JSON type of ``default``: a number (an
+    integral one for an int default), a boolean, a string, or a list of such.
+    The one None default, the flux matrix, takes null or a list."""
+    if default is None:
+        return value is not None and not isinstance(value, list)
+    if isinstance(default, list):
+        return not isinstance(value, list) or any(_wrong_type(v, default[0]) for v in value)
+    if isinstance(default, (bool, str)):
+        return not isinstance(value, type(default))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    return isinstance(default, int) and not float(value).is_integer()
 
 
 def _omitted(section: str):
@@ -96,18 +114,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(EXPERIMENTS)}")
         for name in _SECTIONS:
-            self._check_keys(name, getattr(self, name))
+            self._check(name, getattr(self, name))
         self.params = self.section("params")
         self.regularity = self.section("regularity")
 
     def _defaults(self, name: str) -> dict:
         return EXPERIMENTS[self.experiment].params if name == "params" else DEFAULTS[name]
 
-    def _check_keys(self, name: str, keys) -> None:
-        unknown = set(keys) - set(self._defaults(name))
+    def _check(self, name: str, given: dict) -> None:
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {name} must be an object, got {given!r}")
+        defaults = self._defaults(name)
+        unknown = set(given) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; "
-                              f"known: {sorted(self._defaults(name))}")
+                              f"known: {sorted(defaults)}")
+        for key, value in given.items():
+            if _wrong_type(value, defaults[key]):
+                raise ConfigError(f"{name}.{key} = {value!r} does not have the type "
+                                  f"of its default {defaults[key]!r}")
 
     def section(self, name: str) -> dict:
         """A config section's given keys over its defaults."""
@@ -145,14 +170,14 @@ class ExperimentConfig:
             raise ConfigError("the experiment is chosen by the subcommand, not by an override")
         if len(parts) == 2 and parts[0] not in _SECTIONS:
             raise ConfigError(f"unknown config section {parts[0]!r}")
-        if parts[0] in _SECTIONS:
-            if len(parts) == 1:
-                raise ConfigError(f"override {parts[0]} one key at a time: {parts[0]}.<key>")
-            self._check_keys(parts[0], parts[1:])
+        if parts[0] in _SECTIONS and len(parts) == 1:
+            raise ConfigError(f"override {parts[0]} one key at a time: {parts[0]}.<key>")
         try:
             val = json.loads(value)
         except json.JSONDecodeError:
             val = value
+        if parts[0] in _SECTIONS:
+            self._check(parts[0], {parts[1]: val})
         if len(parts) == 1:
             setattr(self, parts[0], val)
         else:
@@ -196,8 +221,9 @@ class ExperimentConfig:
                               kappa=nl["kappa"], matrix=nl["matrix"])
 
     def build_regularity(self, grid: GridSpec) -> RegularityParams:
+        """The estimator knobs; raises if the experiment cannot run on their radii."""
         r = self.regularity
-        return RegularityParams.for_grid(
+        reg = RegularityParams.for_grid(
             grid,
             alpha=float(self.section("noise")["alpha"]),
             r_min_factor=int(r["r_min_factor"]),
@@ -205,6 +231,14 @@ class ExperimentConfig:
             pair_budget=int(r["pair_budget"]),
             y_budget=int(r["y_budget"]),
         )
+        radii = [float(v) for v in reg.radii]
+        if self.experiment == "theorem1" and len(radii) < MIN_RADII:
+            raise ConfigError(f"theorem1 fits slopes over at least {MIN_RADII} radii, got "
+                              f"{radii}; lower regularity.r_min_factor or raise grid.n")
+        if self.experiment == "lemmas" and not _small_radii(radii):
+            raise ConfigError(f"lemmas needs a radius r <= 1/8 with 3r < 1/2, got {radii}; "
+                              "lower regularity.r_min_factor or raise grid.n")
+        return reg
 
     def parameter_block(self) -> dict:
         A = self.build_nonlinearity()
@@ -300,6 +334,7 @@ class _Run:
     def artifact(self, name: str) -> Path:
         """The path of a new artifact; the report lists it in this order."""
         self.report.artifacts.append(name)
+        self.out.mkdir(parents=True, exist_ok=True)
         return self.out / name
 
     def write_csv(self, name: str, header: list, rows) -> None:
@@ -318,9 +353,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
     report = RunReport(cfg.experiment, cfg.config_hash, cfg.parameter_block())
     out = Path(cfg.output_dir) / cfg.config_hash
-    out.mkdir(parents=True, exist_ok=True)
     EXPERIMENTS[cfg.experiment].body(_Run(cfg, grid, [int(s) for s in cfg.seeds], report, out))
     report.wallclock_s = time.time() - t_start
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.body_json())
     (out / "run_meta.json").write_text(_json({"wallclock_s": report.wallclock_s,
                                               "config": cfg.to_dict()}))
@@ -330,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 def _solve(path: NoisePath, A: Nonlinearity, members: list) -> list:
     """One sweep of ``members`` on ``path`` with ``A`` as the flux: a member
     ``A`` takes the flux step, any other member is a constant coefficient."""
-    return solve_anisotropic_batch(SolveConfig(grid=path.grid, path=path, A=A), members)
+    return solve_anisotropic_batch(SolveConfig(path=path, A=A), members)
 
 
 def _model_member(A: Nonlinearity):
@@ -535,6 +570,11 @@ def _ratio(lhs: float, rhs: float, tol: float) -> Optional[float]:
     return lhs / rhs
 
 
+def _small_radii(radii) -> list:
+    """The lemma suite's shift scales: the 3r cylinders must fit in the torus."""
+    return [r for r in radii if 3 * r < 0.5 and r <= 0.126]
+
+
 _LEMMA_FAMILIES = (
     "affine_from_increments_space",
     "affine_from_increments_spacetime",
@@ -570,7 +610,7 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
     alpha = reg.alpha
     ztol = p["zero_tol"]
     radii_ball = [r for r in reg.radii if r <= 0.25]
-    radii_small = [r for r in reg.radii if 3 * r < 0.5 and r <= 0.126]
+    radii_small = _small_radii(reg.radii)
     # fixed physical shift so the coefficient family compares like for like across n
     y0 = lattice_shifts(grid, max(radii_small), budget=1)[0]
     corpus = build_corpus(grid, n_random=int(p["n_random"]), r_max=max(radii_ball))
@@ -801,10 +841,6 @@ EXPERIMENTS = {
         "refine": True,
     }),
 }
-
-
-# per-experiment names for callers; the config, not the name, picks the experiment
-run_noise_diag = run_theorem1 = run_lemma_suite = run_apriori_sweep = run_experiment
 
 
 def validate_config(cfg: ExperimentConfig) -> dict:

@@ -62,7 +62,7 @@ def sine_family(dim: int, kappa: float) -> Nonlinearity:
     DA = diag((1 + kappa*cos p_i) / (1 + kappa)); lambda = (1-kappa)/(1+kappa),
     Lambda = kappa/(1+kappa).  kappa = 0 reduces to the identity.
     """
-    if not (0.0 <= kappa < 1.0):
+    if kappa is None or not (0.0 <= kappa < 1.0):
         raise NonlinearityError(f"kappa must lie in [0, 1), got {kappa}")
     k = float(kappa)
 
@@ -124,7 +124,7 @@ def linear_family(matrix) -> Nonlinearity:
 
 def builtin_family(kind: str, dim: int, kappa: float = None, matrix=None) -> Nonlinearity:
     if kind == "sine":
-        return sine_family(dim, 0.0 if kappa is None else kappa)
+        return sine_family(dim, kappa)
     if kind in ("linear", "linear-anisotropic"):
         if matrix is None:
             matrix = np.eye(dim)
@@ -147,17 +147,20 @@ class CertificationReport:
         return dict(self.__dict__)
 
 
-def validate(A: Nonlinearity, probes: int = 2000, box: float = 5.0, seed: int = 0) -> CertificationReport:
+# ``validate`` draws this many gradient probes from [-_PROBE_BOX, _PROBE_BOX]^d
+_PROBES = 2000
+_PROBE_BOX = 5.0
+
+
+def validate(A: Nonlinearity) -> CertificationReport:
     """Probe the ellipticity, normalization and Lipschitz assumptions.
 
-    Samples gradients in [-box, box]^d; fails (raising ValidationError with
-    the witnessing probe) when any probe contradicts the declared lambda,
-    the unit bound on |DA eta|, or the declared Lipschitz constant.
+    Samples a fixed set of gradient probes; fails (raising ValidationError
+    with the witnessing probe) when any probe contradicts the declared
+    lambda, the unit bound on |DA eta|, or the declared Lipschitz constant.
     """
-    if probes < 10**3:
-        raise NonlinearityError("need at least 1e3 probes")
-    rng = Generator(Philox(key=np.array([seed, 0x6E6F6E6C], dtype=np.uint64)))
-    p = rng.uniform(-box, box, size=(probes, A.dim))
+    rng = Generator(Philox(key=np.array([0, 0x6E6F6E6C], dtype=np.uint64)))
+    p = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(_PROBES, A.dim))
     J = A.jac(p)
     S = 0.5 * (J + np.swapaxes(J, -1, -2))
     eigs = np.linalg.eigvalsh(S)
@@ -165,7 +168,7 @@ def validate(A: Nonlinearity, probes: int = 2000, box: float = 5.0, seed: int = 
     ops = np.linalg.norm(J, ord=2, axis=(-2, -1))
     max_op = float(ops.max())
 
-    q = rng.uniform(-box, box, size=(probes, A.dim))
+    q = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(_PROBES, A.dim))
     Jq = A.jac(q)
     num = np.linalg.norm(J - Jq, ord=2, axis=(-2, -1))
     den = np.linalg.norm(p - q, axis=-1)
@@ -179,7 +182,7 @@ def validate(A: Nonlinearity, probes: int = 2000, box: float = 5.0, seed: int = 
     )
     report = CertificationReport(
         name=A.name,
-        probes=probes,
+        probes=_PROBES,
         min_rayleigh=min_ray,
         max_opnorm=max_op,
         max_lipschitz=max_lip,

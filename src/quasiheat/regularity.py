@@ -45,6 +45,13 @@ class RegularityError(ValueError):
     pass
 
 
+# The one default of each estimator knob; ``harness.DEFAULTS`` reads it too.
+DEFAULTS = {"pair_budget": 100_000, "y_budget": 16, "r_min_factor": 4, "r_max": 0.25}
+
+# a log-log slope is fitted over at least this many radii
+MIN_RADII = 4
+
+
 @dataclass(frozen=True)
 class RegularityParams:
     """Knobs shared by the estimators.
@@ -57,8 +64,8 @@ class RegularityParams:
 
     alpha: float
     radii: np.ndarray
-    pair_budget: int = 100_000
-    y_budget: int = 32
+    pair_budget: int = DEFAULTS["pair_budget"]
+    y_budget: int = DEFAULTS["y_budget"]
 
     def __post_init__(self):
         if not (0.5 < self.alpha < 1.0):
@@ -74,10 +81,10 @@ class RegularityParams:
     def for_grid(
         grid: GridSpec,
         alpha: float,
-        r_min_factor: int = 4,
-        r_max: float = 0.25,
-        pair_budget: int = 100_000,
-        y_budget: int = 32,
+        r_min_factor: int = DEFAULTS["r_min_factor"],
+        r_max: float = DEFAULTS["r_max"],
+        pair_budget: int = DEFAULTS["pair_budget"],
+        y_budget: int = DEFAULTS["y_budget"],
     ) -> "RegularityParams":
         r = r_min_factor * grid.dx
         radii = []
@@ -147,7 +154,7 @@ def holder_seminorm(
     f: SpaceTimeField,
     alpha: float,
     region: Optional[ParabolicCylinder] = None,
-    pair_budget: int = 100_000,
+    pair_budget: int = DEFAULTS["pair_budget"],
 ) -> float:
     """Discrete parabolic Hoelder seminorm sup |f(z)-f(z')| / d(z,z')^alpha.
 
@@ -308,7 +315,7 @@ def time_term_constant(
             n_slab = int(round(r * r / grid.snap_dt))
             if n_slab < 3:
                 continue
-            win = _time_window(f, t0, float(r))
+            win = _time_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
             shifts = lattice_shifts(grid, r, budget=params.y_budget)
             for y in shifts:
                 dyf = increment(win, y)
@@ -325,13 +332,10 @@ def time_term_constant(
     return total
 
 
-def _time_window(f: SpaceTimeField, t0: float, r: float) -> SpaceTimeField:
-    """Restrict to the snapshots needed for the slab plus one-step margins."""
-    it = f.time_index(t0)
-    lo = f.times[it] - r * r
-    j0 = int(np.searchsorted(f.times, lo + 1e-14, side="right"))
-    j0 = max(j0 - 1, 0)
-    j1 = min(it + 2, len(f.times))
+def _time_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> SpaceTimeField:
+    """Restrict to the cylinder's slab plus one snapshot on either side."""
+    slab = cylinder_window(f, cyl).slab
+    j0, j1 = max(slab.start - 1, 0), min(slab.stop + 1, len(f.times))
     return SpaceTimeField(f.grid, f.times[j0:j1], f.values[j0:j1])
 
 
@@ -429,7 +433,7 @@ def _loglog_slope(radii, values, tiny: float = 1e-13) -> Optional[float]:
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     keep = v > tiny
-    if keep.sum() < 4:
+    if keep.sum() < MIN_RADII:
         return None
     coef = np.polyfit(np.log(r[keep]), np.log(v[keep]), 1)
     return float(coef[0])
@@ -450,8 +454,8 @@ def modelling_remainder(
     normalized sup M_z, the log-log slope, and the stability replay of the
     smallest-radius model across all radii.
     """
-    if len(params.radii) < 4:
-        raise RegularityError("need at least 4 radii for slope estimation")
+    if len(params.radii) < MIN_RADII:
+        raise RegularityError(f"need at least {MIN_RADII} radii for slope estimation")
     if not np.array_equal(grad_u.times, grad_v_a.times):
         raise RegularityError("gradient fields must share snapshot times")
     t0, x0 = z

@@ -61,9 +61,9 @@ class SolverDivergenceError(SolverError):
 
 @dataclass
 class SolveConfig:
-    """Shared solver setup; dt comes from the grid and must satisfy cfl <= 1/4."""
+    """Shared solver setup; dt comes from the noise path's grid and must
+    satisfy cfl <= 1/4."""
 
-    grid: GridSpec
     path: NoisePath
     A: Nonlinearity
     scheme: str = "exp"
@@ -74,11 +74,13 @@ class SolveConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.cfl > 0.25 + 1e-12:
             raise SolverError(f"cfl = {self.cfl} exceeds 1/4")
-        if self.path.grid != self.grid:
-            raise SolverError("noise path is bound to a different grid")
         if self.A.dim != self.grid.dim:
             raise SolverError("nonlinearity dimension does not match the grid")
         validate(self.A)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.path.grid
 
     @property
     def cfl(self) -> float:
@@ -91,7 +93,6 @@ class Trajectory:
 
     state: SpaceTimeField
     gradient: SpaceTimeField
-    provenance: dict
 
     def gradient_at(self, z) -> np.ndarray:
         t, x = z
@@ -102,24 +103,6 @@ def _coeff_matrix(a) -> Optional[np.ndarray]:
     if isinstance(a, FrozenCoefficient):
         a = a.matrix
     return None if a is None else np.atleast_2d(np.asarray(a, dtype=float))
-
-
-def _provenance(cfg: SolveConfig, member, index: int, size: int) -> dict:
-    p = {
-        "kind": "nonlinear" if member is cfg.A else "linear",
-        "scheme": cfg.scheme if member is cfg.A else "exact-ou",
-        "grid": cfg.grid.to_dict(),
-        "cfl": cfg.cfl,
-        "seed": cfg.path.spec.master_seed,
-        "noise": cfg.path.spec.to_dict(),
-        "nonlinearity": {"name": cfg.A.name, **cfg.A.params},
-        "batch_index": index,
-        "batch_size": size,
-    }
-    if member is not cfg.A:
-        mat = _coeff_matrix(member)
-        p["coefficient"] = mat.tolist() if mat is not None else "identity"
-    return p
 
 
 def _sweep(cfg: SolveConfig, members: Sequence) -> List[Trajectory]:
@@ -156,9 +139,9 @@ def _sweep(cfg: SolveConfig, members: Sequence) -> List[Trajectory]:
     vh = np.empty((len(linear),) + h0.shape, dtype=complex)
     vh[:] = h0
 
-    n_snap = grid.n_steps // grid.snap_stride + 1
-    states = [np.empty((n_snap,) + grid.shape) for _ in members]
-    grads = [np.empty((n_snap,) + grid.shape + (grid.dim,)) for _ in members]
+    times = grid.snapshot_times()
+    states = [np.empty((len(times),) + grid.shape) for _ in members]
+    grads = [np.empty((len(times),) + grid.shape + (grid.dim,)) for _ in members]
 
     def snapshot(row: int) -> None:
         for i, (state, grad) in enumerate(zip(states, grads)):
@@ -187,14 +170,9 @@ def _sweep(cfg: SolveConfig, members: Sequence) -> List[Trajectory]:
                 raise SolverDivergenceError(step)
             row += 1
 
-    times = grid.snapshot_times()
     return [
-        Trajectory(
-            SpaceTimeField(grid, times, state),
-            SpaceTimeField(grid, times, grad),
-            _provenance(cfg, member, i, len(members)),
-        )
-        for i, (member, state, grad) in enumerate(zip(members, states, grads))
+        Trajectory(SpaceTimeField(grid, times, state), SpaceTimeField(grid, times, grad))
+        for state, grad in zip(states, grads)
     ]
 
 

@@ -12,12 +12,7 @@ import pytest
 from quasiheat.corpus import build_corpus
 from quasiheat.fitting import chebyshev_center, fit_affine_gradient, fit_affine_scalar
 from quasiheat.grid import GridSpec, SpaceTimeField
-from quasiheat.harness import (
-    ExperimentConfig,
-    run_lemma_suite,
-    run_noise_diag,
-    run_theorem1,
-)
+from quasiheat.harness import ExperimentConfig, run_experiment
 from quasiheat.noise import NoisePath, NoiseSpec
 from quasiheat.nonlinearity import freeze, linear_family, sine_family
 from quasiheat.regularity import RegularityParams, holder_seminorm, increment_constant, time_term_constant
@@ -66,7 +61,7 @@ def headline(out_dir):
         output_dir=str(out_dir / "headline"),
     ))
     t0 = time.time()
-    report = run_theorem1(cfg)
+    report = run_experiment(cfg)
     return cfg, report, time.time() - t0
 
 
@@ -91,7 +86,7 @@ def test_criterion_1_linear_degeneracy(out_dir):
             seeds=[7],
             output_dir=str(out_dir / f"lin-{label}"),
         ))
-        report = run_theorem1(cfg)
+        report = run_experiment(cfg)
         assert report.metrics["degenerate_linear"]
         check = {c.name: c for c in report.checks}["degenerate_linear_remainder"]
         worst = max(worst, check.value)
@@ -139,7 +134,7 @@ def test_criterion_3_noise_statistics(out_dir):
         seeds=[1],
         output_dir=str(out_dir / "noise"),
     ))
-    report = run_noise_diag(cfg)
+    report = run_experiment(cfg)
     checks = {c.name: c for c in report.checks}
     rel = checks["covariance_rel_error[seed=1]"].value
     rho = checks["disjoint_step_correlation[seed=1]"].value
@@ -161,7 +156,7 @@ def test_criterion_4_solver_verification():
     grid = GridSpec.create(1, 64)
     spec0 = NoiseSpec(alpha=0.75, dim=1, sigma=0.0, master_seed=0)
     xs = np.arange(64) / 64
-    cfg = SolveConfig(grid=grid, path=NoisePath(spec0, grid), A=sine_family(1, 0.0),
+    cfg = SolveConfig(path=NoisePath(spec0, grid), A=sine_family(1, 0.0),
                       initial_state=np.cos(2 * np.pi * 2 * xs))
     traj = solve_linear_constant(cfg, np.array([[0.85]]))
     mu = 0.85 * 4 * np.pi**2 * 4
@@ -176,7 +171,7 @@ def test_criterion_4_solver_verification():
     spec = NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=2)
     path = NoisePath(spec, gridc)
     a = np.array([[0.8]])
-    cfg_im = SolveConfig(grid=gridc, path=path, A=linear_family(a), scheme="imex")
+    cfg_im = SolveConfig(path=path, A=linear_family(a), scheme="imex")
     u_im = solve_nonlinear(cfg_im)
     v_ou = solve_linear_constant(cfg_im, a)
     uh = np.fft.rfft(u_im.state.values[-1])
@@ -191,7 +186,7 @@ def test_criterion_4_solver_verification():
     for cfl, agg in ((0.0625, 1), (0.125, 2), (0.25, 4)):
         g = GridSpec.create(1, 64, cfl=cfl)
         p = NoisePath(spec_r, g, substeps=agg)
-        terminal[agg] = solve_nonlinear(SolveConfig(grid=g, path=p, A=A)).state.values[-1]
+        terminal[agg] = solve_nonlinear(SolveConfig(path=p, A=A)).state.values[-1]
     e21 = float(np.max(np.abs(terminal[2] - terminal[1])))
     e42 = float(np.max(np.abs(terminal[4] - terminal[2])))
     order = float(np.log2(e42 / e21))
@@ -248,7 +243,7 @@ def test_criterion_5_lemma_suites(out_dir):
         seeds=[1],
         output_dir=str(out_dir / "lemmas"),
     ))
-    report = run_lemma_suite(cfg)
+    report = run_experiment(cfg)
     consts = report.metrics["constants"]
     refine = report.metrics["refinement"]
     caps_ok = all(c.passed for c in report.checks)
@@ -281,7 +276,7 @@ def test_criterion_5_lemma_suites(out_dir):
     # the pinned-constant remainder fit against the exact dual-support oracle
     spec = NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=4)
     path = NoisePath(spec, grid)
-    scfg = SolveConfig(grid=grid, path=path, A=sine_family(1, 0.5))
+    scfg = SolveConfig(path=path, A=sine_family(1, 0.5))
     u = solve_nonlinear(scfg)
     va = solve_anisotropic_batch(
         scfg, [freeze(sine_family(1, 0.5), u.gradient.values[-1, n // 4])]
@@ -383,7 +378,7 @@ def test_criterion_7_regularity_stability():
         grid = GridSpec.create(1, n)
         for seed in (1, 2, 3, 4):
             spec = NoiseSpec(alpha=alpha, dim=1, sigma=1.0, master_seed=seed)
-            cfg = SolveConfig(grid=grid, path=NoisePath(spec, grid), A=sine_family(1, 0.0))
+            cfg = SolveConfig(path=NoisePath(spec, grid), A=sine_family(1, 0.0))
             v = solve_linear_constant(cfg, None)
             per_seed.append(holder_seminorm(v.gradient, alpha, pair_budget=100_000))
         seminorms[n] = per_seed
@@ -398,7 +393,7 @@ def test_criterion_7_regularity_stability():
     for seed in (1, 2):
         spec = NoiseSpec(alpha=alpha, dim=1, sigma=1.0, master_seed=seed)
         path = NoisePath(spec, grid)
-        cfg = SolveConfig(grid=grid, path=path, A=A)
+        cfg = SolveConfig(path=path, A=A)
         u = solve_nonlinear(cfg)
         v = solve_linear_constant(cfg, None)
         sem_v = holder_seminorm(v.gradient, alpha, pair_budget=100_000)
@@ -456,10 +451,9 @@ def test_criterion_8_reproducibility(out_dir):
             seeds=[5],
             output_dir=str(base),
         ))
-        runner = run_noise_diag if exp == "noise-diag" else run_theorem1
-        runner(cfg)
+        run_experiment(cfg)
         first = collect(base, cfg)
-        runner(cfg)
+        run_experiment(cfg)
         second = collect(base, cfg)
         identical = identical and first == second and len(first) >= 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasiheat.grid import GridSpec, SpaceTimeField
-from quasiheat.harness import ExperimentConfig, run_lemma_suite, run_noise_diag
+from quasiheat.harness import ExperimentConfig, run_experiment
 from quasiheat.regularity import RegularityParams, modelling_remainder
 
 
@@ -18,7 +18,7 @@ def test_noise_diag_d2(tmp_path):
         seeds=[4],
         output_dir=str(tmp_path / "out"),
     ))
-    report = run_noise_diag(cfg)
+    report = run_experiment(cfg)
     assert report.passed
 
 
@@ -32,7 +32,7 @@ def test_lemma_suite_d2(tmp_path):
         seeds=[1],
         output_dir=str(tmp_path / "out"),
     ))
-    report = run_lemma_suite(cfg)
+    report = run_experiment(cfg)
     assert report.passed
     assert all(np.isfinite(v) for v in report.metrics["constants"].values())
 

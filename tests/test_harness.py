@@ -9,10 +9,7 @@ from quasiheat.harness import (
     ConfigError,
     ExperimentConfig,
     draw_basepoints,
-    run_apriori_sweep,
     run_experiment,
-    run_noise_diag,
-    run_theorem1,
     validate_config,
 )
 
@@ -180,7 +177,7 @@ def test_basepoints_deterministic_and_in_window():
 
 def test_noise_diag_run_and_artifacts(tmp_path):
     cfg = noise_cfg(tmp_path)
-    report = run_noise_diag(cfg)
+    report = run_experiment(cfg)
     assert report.passed
     out = tmp_path / "out" / cfg.config_hash
     assert (out / "report.json").exists()
@@ -194,10 +191,10 @@ def test_noise_diag_run_and_artifacts(tmp_path):
 
 def test_noise_diag_byte_identical_rerun(tmp_path):
     cfg = noise_cfg(tmp_path)
-    run_noise_diag(cfg)
+    run_experiment(cfg)
     out = tmp_path / "out" / cfg.config_hash
     first = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
-    run_noise_diag(cfg)
+    run_experiment(cfg)
     second = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
     assert first == second
 
@@ -205,7 +202,7 @@ def test_noise_diag_byte_identical_rerun(tmp_path):
 def test_requires_seeds(tmp_path):
     cfg = noise_cfg(tmp_path, seeds=[])
     with pytest.raises(ConfigError):
-        run_noise_diag(cfg)
+        run_experiment(cfg)
     assert not (tmp_path / "out").exists()  # raised before the output directory is made
 
 
@@ -253,7 +250,7 @@ def theorem1_small_cfg(tmp_path, **over):
 def test_theorem1_small_run(tmp_path):
     cfg = theorem1_small_cfg(tmp_path)
     cfg.plots = True
-    report = run_theorem1(cfg)
+    report = run_experiment(cfg)
     out = tmp_path / "out" / cfg.config_hash
     assert (out / "modelling_report.json").exists()
     assert (out / "remainder.csv").exists()
@@ -275,7 +272,7 @@ def test_theorem1_degenerate_linear(tmp_path):
         nonlinearity={"kind": "sine", "kappa": 0.0},
         params={"basepoints": 2, "companion_increment_constant": False},
     )
-    report = run_theorem1(cfg)
+    report = run_experiment(cfg)
     assert report.metrics["degenerate_linear"]
     names = {c.name: c for c in report.checks}
     assert names["degenerate_linear_remainder"].passed
@@ -290,7 +287,7 @@ def test_apriori_small(tmp_path):
         seeds=[2],
         output_dir=str(tmp_path / "out"),
     ))
-    report = run_apriori_sweep(cfg)
+    report = run_experiment(cfg)
     names = {c.name: c for c in report.checks}
     assert names["linear_seminorm_scaling"].passed
     assert names["seminorms_finite"].passed
@@ -305,7 +302,7 @@ def test_apriori_zero_amplitude(tmp_path):
         seeds=[2],
         output_dir=str(tmp_path / "out0"),
     ))
-    report = run_apriori_sweep(cfg)
+    report = run_experiment(cfg)
     assert report.passed
     zero_rows = [r for r in report.metrics["rows"] if r["sigma"] == 0.0]
     assert zero_rows and all(r["grad_u"] == 0.0 for r in zero_rows)
@@ -404,3 +401,72 @@ def test_override_rejects_unknown_params_and_regularity_keys(tmp_path):
     assert cfg.to_dict() == before
     cfg.apply_override("regularity.y_budget", "8")
     assert cfg.regularity["y_budget"] == 8
+
+
+def test_null_kappa_rejected(tmp_path, capsys):
+    """kappa has one default (0.5); an explicit null is an error, not a linear flux."""
+    with pytest.raises(ConfigError, match="kappa"):
+        ExperimentConfig.from_dict({"experiment": "theorem1",
+                                    "nonlinearity": {"kind": "sine", "kappa": None}})
+    assert cli_main(["validate-config", "--set", "nonlinearity.kappa=null"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_values_type_checked(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["noise-diag", "--seed", "1", "--output-dir", str(out),
+                     "--set", "grid.n=abc"]) == 2
+    assert "config error" in capsys.readouterr().err
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"experiment": "noise-diag", "grid": {"n": "abc"},
+                                    "output_dir": str(out)}))
+    assert cli_main(["noise-diag", "--config", str(cfg_file), "--seed", "1"]) == 2
+    assert cli_main(["validate-config", "--config", str(cfg_file)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+    for section, given in (("grid", {"n": 64.5}), ("params", {"refine": "yes"}),
+                           ("params", {"n_random": True}), ("nonlinearity", {"kind": 1}),
+                           ("regularity", {"r_max": None}), ("params", {"zero_tol": [1e-9]})):
+        with pytest.raises(ConfigError, match="type"):
+            ExperimentConfig.from_dict({"experiment": "lemmas", section: given})
+    with pytest.raises(ConfigError, match="object"):
+        ExperimentConfig.from_dict({"experiment": "lemmas", "grid": None})
+    # a number where the default is one, an integral float for an int
+    ok = ExperimentConfig.from_dict({"experiment": "apriori-sweep",
+                                     "grid": {"n": 32.0, "t_end": 1},
+                                     "params": {"sigmas": [1, 0.5]}})
+    assert ok.build_grid().n == 32
+
+
+def _no_sweep(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr("quasiheat.harness.solve_anisotropic_batch", fail)
+
+
+def test_theorem1_with_fewer_than_four_radii_rejected(tmp_path, monkeypatch, capsys):
+    # n=32 gives the radii [1/8, 1/4]; noise-diag reads no radius
+    assert cli_main(["validate-config", "--set", "grid.n=32"]) == 0
+    cfg_file = tmp_path / "t.json"
+    cfg_file.write_text(json.dumps({"experiment": "theorem1", "grid": {"n": 32}}))
+    assert cli_main(["validate-config", "--config", str(cfg_file)]) == 2
+    assert "at least 4 radii" in capsys.readouterr().err
+    _no_sweep(monkeypatch)
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "grid": {"n": 32},
+                                      "seeds": [1], "output_dir": str(tmp_path / "out")})
+    with pytest.raises(ConfigError, match="at least 4 radii"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemmas_without_a_small_radius_rejected(tmp_path, monkeypatch, capsys):
+    # n=16 gives the one radius 1/4: no shift scale r <= 1/8
+    cfg_file = tmp_path / "l.json"
+    cfg_file.write_text(json.dumps({"experiment": "lemmas", "grid": {"n": 16}}))
+    assert cli_main(["validate-config", "--config", str(cfg_file)]) == 2
+    assert "r <= 1/8" in capsys.readouterr().err
+    _no_sweep(monkeypatch)
+    assert cli_main(["lemmas", "--seed", "1", "--set", "grid.n=16",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    assert "r <= 1/8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -323,7 +323,7 @@ def sim_pair(n=128, kappa=0.5, seed=2):
     spec = NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=seed)
     path = NoisePath(spec, grid)
     A = sine_family(1, kappa)
-    cfg = SolveConfig(grid=grid, path=path, A=A)
+    cfg = SolveConfig(path=path, A=A)
     u = solve_nonlinear(cfg)
     z = (float(u.state.times[-4]), 0.25)
     a = freeze(A, u.gradient_at(z), basepoint=z)

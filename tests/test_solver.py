@@ -19,7 +19,7 @@ def setup(n=64, kappa=0.5, sigma=1.0, seed=5, cfl=0.25, dim=1, scheme="exp"):
     spec = NoiseSpec(alpha=0.75, dim=dim, sigma=sigma, master_seed=seed)
     path = NoisePath(spec, grid)
     A = sine_family(dim, kappa)
-    return grid, SolveConfig(grid=grid, path=path, A=A, scheme=scheme)
+    return grid, SolveConfig(path=path, A=A, scheme=scheme)
 
 
 def test_zero_noise_zero_data_stays_zero():
@@ -100,7 +100,7 @@ def test_refinement_order():
     for cfl, agg in ((0.0625, 1), (0.125, 2), (0.25, 4)):
         grid = GridSpec.create(dim, n, cfl=cfl)
         path = NoisePath(spec, grid, substeps=agg)
-        cfg = SolveConfig(grid=grid, path=path, A=A)
+        cfg = SolveConfig(path=path, A=A)
         terminal[agg] = solve_nonlinear(cfg).state.values[-1]
     e21 = np.max(np.abs(terminal[2] - terminal[1]))
     e42 = np.max(np.abs(terminal[4] - terminal[2]))
@@ -112,7 +112,7 @@ def test_imex_scheme_runs_and_tracks_exact():
     # rational-IMEX cross-check on a linear anisotropic flux: per-mode error
     # relative to the solution scale stays below 1%
     grid, cfg = setup(n=64, scheme="imex")
-    cfgM = SolveConfig(grid=grid, path=cfg.path, A=linear_family([[0.8]]), scheme="imex")
+    cfgM = SolveConfig(path=cfg.path, A=linear_family([[0.8]]), scheme="imex")
     u = solve_nonlinear(cfgM)
     v = solve_linear_constant(cfgM, np.array([[0.8]]))
     uh = np.fft.rfft(u.state.values[-1])
@@ -125,7 +125,7 @@ def test_dt_bound_enforced():
     grid = GridSpec(dim=1, n=64, t_end=1.0, dt=0.3 / 64**2, snap_stride=1)
     spec = NoiseSpec(alpha=0.75, dim=1, master_seed=0)
     with pytest.raises(SolverError):
-        SolveConfig(grid=grid, path=NoisePath(spec, grid), A=sine_family(1, 0.0))
+        SolveConfig(path=NoisePath(spec, grid), A=sine_family(1, 0.0))
 
 
 def test_2d_solves():
@@ -197,7 +197,7 @@ def _case(name):
     if name == "d2_linear_flux":
         # a matrix flux through the nonlinear step (matmul on the gradient view)
         A = linear_family(coeffs[0])
-    cfg = SolveConfig(grid=grid, path=path, A=A, scheme="imex" if name == "imex" else "exp")
+    cfg = SolveConfig(path=path, A=A, scheme="imex" if name == "imex" else "exp")
     if name in ("sigma0", "initial_state"):
         x = _xs(grid)
         cfg.initial_state = np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
@@ -239,7 +239,7 @@ def test_linear_flux_member_matches_reference(dim):
     # constant DA: the harness solves u with the exact integrator on A's matrix
     grid, path = _path(dim, 32 if dim == 1 else 16)
     A = sine_family(dim, 0.0)
-    cfg = SolveConfig(grid=grid, path=path, A=A)
+    cfg = SolveConfig(path=path, A=A)
     u, v = solve_anisotropic_batch(cfg, [A.linear_matrix, None])
     for traj, (state, grad) in zip(
         (u, v), (ref.solve_linear_constant(cfg, A.linear_matrix), ref.solve_linear_constant(cfg))
