@@ -12,7 +12,7 @@ callers keeping their analysis windows away from the seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -92,13 +92,7 @@ class GridSpec:
         return GridSpec(dim=dim, n=n, t_end=t_end, dt=dt, snap_stride=stride)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n": self.n,
-            "t_end": self.t_end,
-            "dt": self.dt,
-            "snap_stride": self.snap_stride,
-        }
+        return asdict(self)
 
 
 def torus_delta(x1, x2) -> np.ndarray:
@@ -372,7 +366,6 @@ class Spectral:
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.axes = tuple(range(-grid.dim, 0))
         n, dx = grid.n, grid.dx
         ks = [2 * np.pi * np.fft.rfftfreq(n, d=dx)]
         if grid.dim == 2:
@@ -391,31 +384,32 @@ class Spectral:
         return s[0, 0] * k[0] * k[0] + 2.0 * s[0, 1] * k[0] * k[1] + s[1, 1] * k[1] * k[1]
 
     def to_hat(self, phys: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return np.fft.rfft(phys)
-        return np.fft.rfftn(phys, axes=self.axes)
+        """``rfftn`` over the trailing d axes, as numpy computes it: the real
+        transform of the last axis, then the complex one of the axis before."""
+        hat = np.fft.rfft(phys)
+        return hat if self.grid.dim == 1 else np.fft.fft(hat, axis=-2)
 
     def to_phys(self, hat: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return np.fft.irfft(hat, n=self.grid.n)
-        return np.fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
+        """``irfftn`` over the trailing d axes: the steps of ``to_hat`` reversed."""
+        if self.grid.dim == 2:
+            hat = np.fft.ifft(hat, axis=-2)
+        return np.fft.irfft(hat, n=self.grid.n)
 
     def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
         """Gradient with a trailing component axis, batched over any leading
-        axes of hat: a view of one inverse transform of the components
-        stacked along a new first axis."""
-        ik = self.ik
-        if hat.ndim > self.grid.dim:
-            ik = np.expand_dims(ik, tuple(range(1, 1 + hat.ndim - self.grid.dim)))
+        axes of hat.  In d = 2 it is a view of one inverse transform of the
+        components stacked along a new first axis."""
+        if self.grid.dim == 1:
+            return self.to_phys(self.ik[0] * hat)[..., None]
+        ik = np.expand_dims(self.ik, tuple(range(1, hat.ndim - 1)))
         return np.moveaxis(self.to_phys(ik * hat), 0, -1)
 
     def divergence_hat(self, q: np.ndarray) -> np.ndarray:
         """Spectrum of the divergence of q, whose components are on the last axis."""
+        if self.grid.dim == 1:
+            return self.ik[0] * self.to_hat(q[..., 0])
         qh = self.to_hat(np.moveaxis(q, -1, 0))
-        out = self.ik[0] * qh[0]
-        for i in range(1, self.grid.dim):
-            out = out + self.ik[i] * qh[i]
-        return out
+        return self.ik[0] * qh[0] + self.ik[1] * qh[1]
 
     def fold_weights(self) -> np.ndarray:
         """Weight 2 on the modes whose conjugate the half-spectrum leaves out."""
@@ -433,7 +427,7 @@ class Spectral:
         cols = np.arange(n // 2 + 1, n)
         src = full if self.grid.dim == 1 else full[(-np.arange(n)) % n]
         full[..., cols] = np.conj(src[..., n - cols])
-        return np.fft.ifftn(full, s=self.grid.shape, axes=self.axes)
+        return np.fft.ifftn(full)
 
 
 def spectral_gradient(f: SpaceTimeField) -> SpaceTimeField:

@@ -34,13 +34,15 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .corpus import build_corpus
-from .grid import GridSpec, SpaceTimeField
-from .noise import NoisePath, NoiseSpec, covariance_diagnostics, write_spectrum_csv
-from .nonlinearity import Nonlinearity, builtin_family, freeze, increment_averaged_coefficient, validate
+from .grid import GridError, GridSpec, SpaceTimeField
+from .noise import NoiseError, NoisePath, NoiseSpec, covariance_diagnostics, write_spectrum_csv
+from .nonlinearity import (Nonlinearity, NonlinearityError, builtin_family, freeze,
+                           increment_averaged_coefficient, validate)
 from .regularity import (
     DEFAULTS as REGULARITY_DEFAULTS,
     MIN_RADII,
     ModellingReport,
+    RegularityError,
     RegularityParams,
     flux_mismatch,
     holder_seminorm,
@@ -50,7 +52,7 @@ from .regularity import (
     time_term_constant,
 )
 from .fitting import fit_affine_gradient
-from .grid import ParabolicCylinder, cylinder_samples, lattice_shifts
+from .grid import ParabolicCylinder, cylinder_samples, cylinder_window, lattice_shifts
 from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch
 
 
@@ -85,6 +87,14 @@ def _wrong_type(value, default) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
     return isinstance(default, int) and not float(value).is_integer()
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a module's rejection of a value is a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (GridError, NoiseError, NonlinearityError, RegularityError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _omitted(section: str):
@@ -200,37 +210,28 @@ class ExperimentConfig:
     def build_grid(self, refine: int = 1) -> GridSpec:
         """The grid, with ``refine`` times the nodes per axis at the same cfl."""
         g = self.section("grid")
-        return GridSpec.create(dim=int(g["dim"]), n=refine * int(g["n"]),
-                               cfl=float(g["cfl"]), t_end=float(g["t_end"]))
+        return _checked(GridSpec.create, dim=int(g["dim"]), n=refine * int(g["n"]),
+                        cfl=float(g["cfl"]), t_end=float(g["t_end"]))
 
     def build_noise_spec(self, seed: int, sigma: float = None) -> NoiseSpec:
         n = self.section("noise")
-        return NoiseSpec(
-            alpha=float(n["alpha"]),
-            dim=int(self.section("grid")["dim"]),
-            sigma=float(n["sigma"]) if sigma is None else sigma,
-            master_seed=int(seed),
-        )
+        return _checked(NoiseSpec, alpha=float(n["alpha"]), dim=int(self.section("grid")["dim"]),
+                        sigma=float(n["sigma"]) if sigma is None else sigma, master_seed=int(seed))
 
     def build_noise_path(self, grid: GridSpec, seed: int, sigma: float = None) -> NoisePath:
         return NoisePath(self.build_noise_spec(seed, sigma), grid)
 
     def build_nonlinearity(self) -> Nonlinearity:
         nl = self.section("nonlinearity")
-        return builtin_family(kind=nl["kind"], dim=int(self.section("grid")["dim"]),
-                              kappa=nl["kappa"], matrix=nl["matrix"])
+        return _checked(builtin_family, kind=nl["kind"], dim=int(self.section("grid")["dim"]),
+                        kappa=nl["kappa"], matrix=nl["matrix"])
 
     def build_regularity(self, grid: GridSpec) -> RegularityParams:
         """The estimator knobs; raises if the experiment cannot run on their radii."""
         r = self.regularity
-        reg = RegularityParams.for_grid(
-            grid,
-            alpha=float(self.section("noise")["alpha"]),
-            r_min_factor=int(r["r_min_factor"]),
-            r_max=float(r["r_max"]),
-            pair_budget=int(r["pair_budget"]),
-            y_budget=int(r["y_budget"]),
-        )
+        reg = _checked(RegularityParams.for_grid, grid, alpha=float(self.section("noise")["alpha"]),
+                       r_min_factor=int(r["r_min_factor"]), r_max=float(r["r_max"]),
+                       pair_budget=int(r["pair_budget"]), y_budget=int(r["y_budget"]))
         radii = [float(v) for v in reg.radii]
         if self.experiment == "theorem1" and len(radii) < MIN_RADII:
             raise ConfigError(f"theorem1 fits slopes over at least {MIN_RADII} radii, got "
@@ -362,10 +363,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _solve(path: NoisePath, A: Nonlinearity, members: list) -> list:
+def _solve(path: NoisePath, A: Nonlinearity, members: list, rows: list = None) -> list:
     """One sweep of ``members`` on ``path`` with ``A`` as the flux: a member
     ``A`` takes the flux step, any other member is a constant coefficient."""
-    return solve_anisotropic_batch(SolveConfig(path=path, A=A), members)
+    return solve_anisotropic_batch(SolveConfig(path=path, A=A), members, rows)
+
+
+def _model_rows(grad: SpaceTimeField, z, r_max: float) -> slice:
+    """The snapshot rows of (t' - r_max^2, t'], which hold every cylinder of z
+    of radius <= r_max.  A slab from row 1 (it reaches t = 0) is taken from
+    row 0, so ``cylinder_window`` adds the zero-extension rows of the whole run."""
+    slab = cylinder_window(grad, ParabolicCylinder(t=z[0], x=z[1], r=r_max)).slab
+    return slice(0 if slab.start <= 1 else slab.start, slab.stop)
 
 
 def _model_member(A: Nonlinearity):
@@ -453,7 +462,8 @@ def _theorem1(run: _Run) -> None:
             range(0, grid.n_steps, max(1, grid.n_steps // 16))
         )
         try:
-            u, v = _solve(path, A, [_model_member(A), None])
+            # nothing reads the states, and u, v are read at every snapshot
+            u, v = _solve(path, A, [_model_member(A), None], rows=[slice(None)] * 2)
         except SolverDivergenceError as exc:
             errors.append({"seed": seed, "error": str(exc)})
             continue
@@ -463,13 +473,15 @@ def _theorem1(run: _Run) -> None:
             "grad_u": holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget),
         }
         zs = draw_basepoints(
-            grid, u.state.times, int(p["basepoints"]), seed,
+            grid, u.gradient.times, int(p["basepoints"]), seed,
             t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, path.spec.t_support[1]),
         )
-        coeffs = [freeze(A, u.gradient_at(z), basepoint=z) for z in zs]
-        for z, va in zip(zs, _solve(path, A, coeffs)):
+        coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
+        slabs = [_model_rows(u.gradient, z, reg.radii[-1]) for z in zs]
+        for z, slab, va in zip(zs, slabs, _solve(path, A, coeffs, rows=slabs)):
+            gu = SpaceTimeField(grid, u.gradient.times[slab], u.gradient.values[slab])
             rep = modelling_remainder(
-                u.gradient, va.gradient, z, reg,
+                gu, va.gradient, z, reg,
                 with_increment_constant=bool(p["companion_increment_constant"]),
             )
             mreport.add(seed, rep)

@@ -211,7 +211,6 @@ class FrozenCoefficient:
     """Constant elliptic matrix a = DA(grad u(z)) frozen at a basepoint."""
 
     matrix: np.ndarray
-    basepoint: Optional[tuple] = None
     lam: float = 0.0
 
     def __post_init__(self):
@@ -233,10 +232,10 @@ class FrozenCoefficient:
         return self.matrix.shape[0]
 
 
-def freeze(A: Nonlinearity, grad_u_at_z, basepoint=None) -> FrozenCoefficient:
+def freeze(A: Nonlinearity, grad_u_at_z) -> FrozenCoefficient:
     """a(z) = DA(grad u(z))."""
     g = np.asarray(grad_u_at_z, dtype=float).reshape(A.dim)
-    return FrozenCoefficient(matrix=A.jac(g), basepoint=basepoint, lam=A.lam)
+    return FrozenCoefficient(matrix=A.jac(g), lam=A.lam)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -391,7 +391,7 @@ def flux_mismatch(
     difference equation once the coefficient is frozen at z."""
     t0, x0 = z
     ay = increment_averaged_coefficient(A, grad_u, y)
-    az = freeze(A, grad_u.value_at(t0, x0), basepoint=z).matrix
+    az = freeze(A, grad_u.value_at(t0, x0)).matrix
     dgrad = increment(grad_u, y).values
     g = np.einsum("...ij,...j->...i", ay.values - az, dgrad)
     return SpaceTimeField(grad_u.grid, grad_u.times, g)
@@ -452,7 +452,9 @@ def modelling_remainder(
     gradient (its optimal limit); a free-constant fit is kept as the
     recovery cross-check.  Returns the residual table, the r^(-2 alpha)
     normalized sup M_z, the log-log slope, and the stability replay of the
-    smallest-radius model across all radii.
+    smallest-radius model across all radii.  The two fields may be the same
+    window of snapshot rows if it holds every cylinder's slab and starts at
+    t = 0 when a slab reaches below it; ``degenerate`` reads that window.
     """
     if len(params.radii) < MIN_RADII:
         raise RegularityError(f"need at least {MIN_RADII} radii for slope estimation")
@@ -462,40 +464,25 @@ def modelling_remainder(
     gw = SpaceTimeField(grad_u.grid, grad_u.times, grad_u.values - grad_v_a.values)
     b_ref = np.asarray(gw.value_at(t0, x0), dtype=float).reshape(-1)
 
-    residuals, residuals_free, models = [], [], []
-    free_models = []
-    sample_sets = []
+    residuals, residuals_free, models, stability = [], [], [], []
     for r in params.radii:
-        cs = cylinder_samples(gw, ParabolicCylinder(t=t0, x=x0, r=float(r)))
-        x, v = cs.flat()
+        x, v = cylinder_samples(gw, ParabolicCylinder(t=t0, x=x0, r=float(r))).flat()
         pinned = fit_affine_gradient(x, v, pin_b=b_ref)
         free = fit_affine_gradient(x, v)
+        if not models:  # the smallest radius
+            b_gap = float(np.max(np.abs(free.model.b - b_ref)))
         residuals.append(pinned.residual)
         residuals_free.append(free.residual)
         models.append(pinned.model)
-        free_models.append(free.model)
-        sample_sets.append((x, v))
+        # the smallest-radius model replayed at this radius
+        stability.append(float(np.max(np.abs(v - (x @ models[0].B.T + b_ref[None, :])))))
 
-    # replay the smallest-radius B across every radius
-    b0 = models[0]
-    stability = []
-    for (x, v) in sample_sets:
-        pred = x @ b0.B.T + b_ref[None, :]
-        stability.append(float(np.max(np.abs(v - pred))))
-
-    alpha2 = 2.0 * params.alpha
-    m_z = max(
-        res / float(r) ** alpha2 for res, r in zip(residuals, params.radii)
-    )
-    scale = float(np.max(np.abs(gw.values))) if gw.values.size else 0.0
-    degenerate = scale <= 1e-12 or max(residuals) <= 1e-12
+    m_z = max(res / float(r) ** (2.0 * params.alpha) for res, r in zip(residuals, params.radii))
+    degenerate = float(np.max(np.abs(gw.values))) <= 1e-12 or max(residuals) <= 1e-12
     slope = None if degenerate else _loglog_slope(params.radii, residuals)
-    b_gap = float(np.max(np.abs(free_models[0].b - b_ref)))
 
     base_slope, base_vals = baseline_remainder(grad_u, z, params)
-    inc_n = None
-    if with_increment_constant:
-        inc_n = increment_constant(gw, z, params, spacetime=True)
+    inc_n = increment_constant(gw, z, params, spacetime=True) if with_increment_constant else None
 
     return BasepointReport(
         z=z,

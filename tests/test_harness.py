@@ -470,3 +470,52 @@ def test_lemmas_without_a_small_radius_rejected(tmp_path, monkeypatch, capsys):
                      "--output-dir", str(tmp_path / "out")]) == 2
     assert "r <= 1/8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dotted,match", [
+    ("grid.n=100", "power of two"),
+    ("noise.alpha=0.4", "alpha"),
+    ("regularity.r_min_factor=100", "empty radius set"),
+    ("nonlinearity.kappa=5", "kappa"),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, monkeypatch, capsys, dotted, match):
+    assert cli_main(["validate-config", "--set", dotted]) == 2
+    assert "config error" in capsys.readouterr().err
+    _no_sweep(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main(["theorem1", "--seed", "1", "--set", dotted, "--output-dir", str(out)]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_windowed_models_give_the_whole_field_basepoint_reports():
+    """v_a keeps the rows of (t' - r_max^2, t'] and grad u is read on the same
+    rows; the reports equal those on whole fields, also when the slab reaches
+    t = 0 (the cylinders take zero-extension rows) or ends there."""
+    from quasiheat.harness import _model_rows, _solve
+    from quasiheat.nonlinearity import freeze, sine_family
+    from quasiheat.regularity import RegularityParams, modelling_remainder
+    from quasiheat.grid import SpaceTimeField
+
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "grid": {"n": 64},
+                                      "regularity": {"r_min_factor": 2}})
+    grid = cfg.build_grid()
+    path = cfg.build_noise_path(grid, 3)
+    A = sine_family(1, 0.5)
+    reg = RegularityParams.for_grid(grid, alpha=0.75, r_min_factor=2)
+    r_max = float(reg.radii[-1])
+    (u,) = _solve(path, A, [A])
+    times = u.gradient.times
+    # r_max^2 is 16 snapshots: t' = times[16] puts the slab's open end at t = 0
+    zs = [(float(times[10]), 0.25), (float(times[16]), 0.75), (float(times[200]), 0.5)]
+    coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
+    slabs = [_model_rows(u.gradient, z, r_max) for z in zs]
+    assert slabs == [slice(0, 11), slice(0, 17), slice(185, 201)]
+    whole = _solve(path, A, coeffs)
+    windowed = _solve(path, A, coeffs, rows=slabs)
+    for z, slab, va, wa in zip(zs, slabs, whole, windowed):
+        assert wa.state is None and len(wa.gradient.times) == slab.stop - slab.start
+        gu = SpaceTimeField(grid, times[slab], u.gradient.values[slab])
+        got = modelling_remainder(gu, wa.gradient, z, reg, with_increment_constant=True)
+        want = modelling_remainder(u.gradient, va.gradient, z, reg, with_increment_constant=True)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())

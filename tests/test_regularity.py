@@ -326,7 +326,7 @@ def sim_pair(n=128, kappa=0.5, seed=2):
     cfg = SolveConfig(path=path, A=A)
     u = solve_nonlinear(cfg)
     z = (float(u.state.times[-4]), 0.25)
-    a = freeze(A, u.gradient_at(z), basepoint=z)
+    a = freeze(A, u.gradient_at(z))
     va = solve_anisotropic_batch(cfg, [a])[0]
     return grid, u, va, z
 

@@ -7,6 +7,7 @@ from quasiheat.noise import NoisePath, NoiseSpec
 from quasiheat.nonlinearity import linear_family, sine_family
 from quasiheat.solver import (
     SolveConfig,
+    SolverDivergenceError,
     SolverError,
     solve_anisotropic_batch,
     solve_linear_constant,
@@ -263,3 +264,60 @@ def test_sweep_rejects_a_second_flux_member():
         solve_anisotropic_batch(cfg, [cfg.A, cfg.A])
     with pytest.raises(SolverError):
         solve_anisotropic_batch(cfg, [sine_family(1, 0.3)])
+
+
+# ---- windowed members: a member given snapshot rows keeps only its gradient there
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "initial_state", "imex"])
+def test_windowed_members_match_full_run_and_reference(name):
+    cfg, (a1, a2) = _case(name)
+    n_snap = len(cfg.grid.snapshot_times())
+    members = [cfg.A, None, a1, a2, a1, a2]
+    rows = [slice(3, 7), None, slice(0, 2), slice(n_snap - 1, n_snap), slice(None), slice(5, 6)]
+    got = solve_anisotropic_batch(cfg, members, rows)
+    full = solve_anisotropic_batch(cfg, members)
+    want = [ref.solve_nonlinear(cfg), ref.solve_linear_constant(cfg, None)]
+    want += ref.solve_anisotropic_batch(cfg, [a1, a2, a1, a2])
+    for traj, whole, (state, grad), keep in zip(got, full, want, rows):
+        assert (traj.state is None) == (keep is not None)
+        if keep is None:
+            assert _bits_equal(traj.state.values, state)
+        assert _bits_equal(traj.gradient.values, whole.gradient.values[keep or slice(None)])
+        assert _bits_equal(traj.gradient.values, grad[keep or slice(None)])
+        assert _bits_equal(traj.gradient.times, whole.gradient.times[keep or slice(None)])
+
+
+def test_windowed_sweep_stops_after_the_last_kept_row(monkeypatch):
+    _, cfg = setup(n=32)
+    calls = []
+    inner = NoisePath.increment_hat
+    monkeypatch.setattr(NoisePath, "increment_hat", lambda self, step: calls.append(step) or inner(self, step))
+    stride = cfg.grid.snap_stride
+    solve_anisotropic_batch(cfg, [cfg.A, np.array([[0.6]])], [slice(2, 4), slice(0, 6)])
+    assert calls == list(range(5 * stride))
+    calls.clear()
+    solve_anisotropic_batch(cfg, [np.array([[0.6]])], [slice(0, 1)])
+    assert calls == []
+
+
+def test_windowed_rows_rejected_unless_a_nonempty_run():
+    _, cfg = setup(n=32)
+    for rows in ([slice(0, 4, 2)], [slice(3, 3)], [None, None]):
+        with pytest.raises(SolverError):
+            solve_anisotropic_batch(cfg, [None], rows)
+
+
+@pytest.mark.parametrize("rows", [None, [slice(4, 6)], [slice(4, 6), slice(2, 3)], [None, slice(5, 6)]])
+def test_non_finite_initial_state_raises_at_the_first_snapshot_kept_or_not(rows):
+    grid, cfg = setup(n=32)
+    cfg.initial_state = np.zeros(grid.shape)
+    cfg.initial_state[3] = np.nan
+    members = [cfg.A] if rows is None or len(rows) == 1 else [cfg.A, np.array([[0.6]])]
+    with pytest.raises(SolverDivergenceError) as exc:
+        solve_anisotropic_batch(cfg, members, rows)
+    assert exc.value.step == grid.snap_stride - 1
+    # a linear member alone diverges at the same step
+    with pytest.raises(SolverDivergenceError) as exc:
+        solve_anisotropic_batch(cfg, [np.array([[0.6]])], [slice(4, 6)])
+    assert exc.value.step == grid.snap_stride - 1

@@ -106,3 +106,30 @@ def test_symbol_matches_reference(dim, n):
     rng = np.random.default_rng(n)
     for a in (None, np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))):
         assert same_bits(sp.symbol(a), np.broadcast_to(solver_ref._sym_mu(grid, a), sp.k.shape[1:]))
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_transforms_on_batched_leading_axes_match_numpy_nd(dim, n, lead):
+    grid = GridSpec.create(dim, n)
+    sp = Spectral(grid)
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(10 * n + dim + len(lead))
+    phys = rng.standard_normal(lead + grid.shape)
+    hat = np.fft.rfftn(phys, axes=axes)
+    assert same_bits(sp.to_hat(phys), hat)
+    assert same_bits(sp.to_phys(hat), np.fft.irfftn(hat, s=grid.shape, axes=axes))
+    # gradient and divergence against per-component nd transforms
+    ks = ref._wavenumbers(grid)
+    grad = sp.gradient_phys(hat)
+    assert same_bits(grad, np.stack(
+        [np.fft.irfftn(1j * k * hat, s=grid.shape, axes=axes) for k in ks], axis=-1))
+    q = rng.standard_normal(lead + grid.shape + (dim,))
+    div = 1j * ks[0] * np.fft.rfftn(q[..., 0], axes=axes)
+    if dim == 2:
+        div = div + 1j * ks[1] * np.fft.rfftn(q[..., 1], axes=axes)
+    assert same_bits(sp.divergence_hat(q), div)
+    # a batched call gives every member its unbatched result
+    for idx in np.ndindex(*lead):
+        assert same_bits(grad[idx], sp.gradient_phys(hat[idx]))
+        assert same_bits(sp.to_hat(phys)[idx], sp.to_hat(phys[idx]))
