@@ -17,6 +17,8 @@ from numpy.random import Generator, Philox
 from .grid import GridSpec, SpaceTimeField
 
 _CUSP_ALPHA = 0.75  # Hoelder exponent of the smoothed-cusp entry's gradient
+# the cusp's smoothing in physical units: the corpus is one function at every n
+_CUSP_SCALE = 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,12 @@ def _smooth_random(grid: GridSpec, index: int, n_modes: int = 6):
     return f, gradf
 
 
-def build_corpus(
-    grid: GridSpec,
-    n_random: int = 20,
-    r_max: float = 0.25,
-    cusp_scale: float = 1.0 / 32.0,
-) -> list:
+def build_corpus(grid: GridSpec, n_random: int = 20, r_max: float = 0.25) -> list:
     """Deterministic corpus: affine, quadratic, trig, smoothed cusp, time ramp, random.
 
     The basepoint time sits deep enough that cylinders up to radius ``r_max``
     stay inside the stored snapshots (slab depth r_max^2); purely spatial
-    entries carry a single snapshot at that time.  ``cusp_scale`` fixes the
-    cusp smoothing in physical units so the corpus is the same function at
-    every resolution; pass 2*dx instead to expose the cusp down to the grid.
+    entries carry a single snapshot at that time.
     """
     center = 0.5 if grid.dim == 1 else (0.5, 0.5)
     snap_dt = grid.snap_dt
@@ -166,7 +161,7 @@ def build_corpus(
     entries.append(CorpusEntry("trig", s, g, z))
 
     # gradient with a smoothed |x-x'|^alpha cusp at the basepoint
-    eps = float(cusp_scale)
+    eps = _CUSP_SCALE
 
     def cusp_g(t, *xs):
         r2 = sum((x - 0.5) ** 2 for x in xs) + eps * eps

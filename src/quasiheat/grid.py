@@ -320,10 +320,11 @@ def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow
         pts = pts[inball.ravel()]
 
     times = f.times[j0 : it + 1].copy()
-    # zero-extension below t = 0, on the snapshot cadence
+    # zero-extension below t = 0, on the snapshot cadence, for a field whose
+    # first snapshot is t = 0
     n_below = 0
     snap_dt = grid.snap_dt
-    if f.times[0] <= snap_dt and lo < f.times[0] - snap_dt:
+    if abs(f.times[0]) < 0.5 * snap_dt and lo < f.times[0] - snap_dt:
         n_below = int(math.floor((f.times[0] - lo) / snap_dt - 1e-12))
     if n_below > 0:
         times = np.concatenate([f.times[0] - snap_dt * np.arange(n_below, 0, -1), times])

@@ -306,19 +306,14 @@ def time_term_constant(
     grid = f.grid
     if not f.is_scalar:
         raise RegularityError("time terms are defined for scalar fields")
-    total = 0.0
-    for i in range(grid.dim + 1):
-        best = 0.0
-        for r in params.radii:
-            if r < 2 * grid.dx or r >= 0.5:
-                continue
-            n_slab = int(round(r * r / grid.snap_dt))
-            if n_slab < 3:
-                continue
-            win = _time_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
-            shifts = lattice_shifts(grid, r, budget=params.y_budget)
-            for y in shifts:
-                dyf = increment(win, y)
+    best = [0.0] * (grid.dim + 1)  # the running sup of each channel
+    for r in params.radii:
+        if r < 2 * grid.dx or r >= 0.5 or int(round(r * r / grid.snap_dt)) < 3:
+            continue
+        win = _time_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
+        for y in lattice_shifts(grid, r, budget=params.y_budget):
+            dyf = increment(win, y)
+            for i in range(grid.dim + 1):
                 smooth = mollify(dyf, r) if i == 0 else _scaled_deriv(dyf, r, i - 1)
                 dt_field = _time_derivative(smooth)
                 # when t' is the trajectory's last snapshot the centered
@@ -327,8 +322,10 @@ def time_term_constant(
                 cyl = ParabolicCylinder(t=t_eval, x=x0, r=float(r))
                 cs = cylinder_samples(dt_field, cyl)
                 sup = float(np.max(np.abs(cs.values)))
-                best = max(best, float(r) ** (1 - 2 * params.alpha) * sup)
-        total += best
+                best[i] = max(best[i], float(r) ** (1 - 2 * params.alpha) * sup)
+    total = 0.0
+    for b in best:  # channel by channel, in order
+        total += b
     return total
 
 

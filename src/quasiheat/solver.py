@@ -122,6 +122,12 @@ def solve_anisotropic_batch(
     The sweep stops after the last kept row, and every member is checked for
     finiteness at every snapshot, kept or not.
     """
+    return _sweep(cfg, members, rows)
+
+
+def _sweep(cfg: SolveConfig, members, rows) -> List[Trajectory]:
+    """The engine of the three public solves; each calls it once, so tracing
+    their names counts one sweep per call."""
     if len(members) == 0:
         return []
     grid = cfg.grid
@@ -191,16 +197,12 @@ def solve_anisotropic_batch(
     ]
 
 
-# the batches of one call this name: tracing the public one counts each sweep once
-_sweep = solve_anisotropic_batch
-
-
 def solve_nonlinear(cfg: SolveConfig) -> Trajectory:
     """Advance the quasilinear equation from rest on the configured path."""
-    return _sweep(cfg, [cfg.A])[0]
+    return _sweep(cfg, [cfg.A], None)[0]
 
 
 def solve_linear_constant(cfg: SolveConfig, a=None) -> Trajectory:
     """Exact-exponential (per-mode OU) solve of the constant-coefficient
     equation; ``a=None`` gives the plain heat model."""
-    return _sweep(cfg, [a])[0]
+    return _sweep(cfg, [a], None)[0]

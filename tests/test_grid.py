@@ -250,6 +250,21 @@ def test_cylinder_at_time_zero_is_zero_extension():
     assert np.all(cs.times <= 0.0)
 
 
+def test_field_from_row_one_gets_no_zero_extension():
+    # t' - r^2 lies 5e-15 below t = 0: the whole run's slab starts at row 1,
+    # and the field that starts there (at t = snap_dt) is not one from t = 0
+    grid = GridSpec.create(1, 64)
+    times = grid.snapshot_times()
+    vals = np.random.default_rng(0).standard_normal((len(times), 64))
+    whole = SpaceTimeField(grid, times, vals)
+    cyl = ParabolicCylinder(t=float(times[16]), x=0.5, r=float(np.sqrt(times[16] + 5e-15)))
+    assert cylinder_window(whole, cyl).slab == slice(1, 17)
+    from_one = SpaceTimeField(grid, times[1:], vals[1:])
+    assert cylinder_window(from_one, cyl).n_below == 0
+    got, want = cylinder_samples(from_one, cyl), cylinder_samples(whole, cyl)
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.values, want.values)
+
+
 def test_cylinder_count_matches_bruteforce():
     grid = GridSpec.create(1, 16)
     times = grid.snapshot_times()

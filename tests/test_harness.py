@@ -376,6 +376,27 @@ def test_cli_apriori_and_lemmas(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_refined_lemma_run_solves_once_per_seed_on_the_base_grid(tmp_path, monkeypatch):
+    # the n -> 2n check compares corpus constants: no field is simulated at 2n
+    import quasiheat.harness as harness
+
+    grids = []
+    inner = harness._solve
+
+    def counted(path, *args, **kwargs):
+        grids.append(path.grid)
+        return inner(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_solve", counted)
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "lemmas", "grid": {"n": 32}, "seeds": [1, 2],
+        "params": {"n_random": 3, "sim_basepoints": 1, "refine": True},
+        "output_dir": str(tmp_path)})
+    report = run_experiment(cfg)
+    assert set(report.metrics["refinement"]) == set(harness._LEMMA_FAMILIES)
+    assert grids == [cfg.build_grid()] * 2
+
+
 def test_unknown_params_and_regularity_keys_rejected():
     with pytest.raises(ConfigError, match="basepoint"):
         ExperimentConfig.from_dict({"experiment": "theorem1", "params": {"basepoint": 4}})
@@ -510,7 +531,7 @@ def test_windowed_models_give_the_whole_field_basepoint_reports():
     zs = [(float(times[10]), 0.25), (float(times[16]), 0.75), (float(times[200]), 0.5)]
     coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
     slabs = [_model_rows(u.gradient, z, r_max) for z in zs]
-    assert slabs == [slice(0, 11), slice(0, 17), slice(185, 201)]
+    assert slabs == [slice(0, 11), slice(1, 17), slice(185, 201)]
     whole = _solve(path, A, coeffs)
     windowed = _solve(path, A, coeffs, rows=slabs)
     for z, slab, va, wa in zip(zs, slabs, whole, windowed):

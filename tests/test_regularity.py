@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import quasiheat.corpus
 from quasiheat.corpus import build_corpus
 from quasiheat.grid import (
     GridSpec,
@@ -389,12 +390,14 @@ def test_baseline_constant_gradient_degenerate():
     assert max(vals) <= 1e-12
 
 
-def test_baseline_recovers_cusp_exponent():
-    # gradient profile with a smoothed |x - x'|^alpha modulus: slope ~ alpha
+def test_baseline_recovers_cusp_exponent(monkeypatch):
+    # gradient profile with a smoothed |x - x'|^alpha modulus: slope ~ alpha;
+    # smoothed at 2 dx, the cusp shows down to the grid
     n = 256
     grid = GridSpec.create(1, n)
+    monkeypatch.setattr(quasiheat.corpus, "_CUSP_SCALE", 2 * grid.dx)
     entry = [
-        e for e in build_corpus(grid, n_random=0, cusp_scale=2 * grid.dx)
+        e for e in build_corpus(grid, n_random=0)
         if e.name == "smoothed-cusp"
     ][0]
     reg = params_for(grid)

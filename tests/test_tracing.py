@@ -39,3 +39,22 @@ def test_tracer_wraps_every_target_and_removes_cleanly():
     assert stats["fitting.linprog.calls"] == 2
     # the observers evaluated each fit's model at the samples
     assert abs(stats["fitting.residual_gap_max"]) < 1e-6
+
+
+def test_each_public_solve_counts_one_sweep():
+    from quasiheat import solver
+    from quasiheat.grid import GridSpec
+    from quasiheat.noise import NoisePath, NoiseSpec
+    from quasiheat.nonlinearity import sine_family
+
+    grid = GridSpec.create(1, 16)
+    path = NoisePath(NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=1), grid)
+    cfg = solver.SolveConfig(path=path, A=sine_family(1, 0.5))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solver.solve_nonlinear(cfg)
+        solver.solve_linear_constant(cfg)
+    finally:
+        tracer.remove()
+    assert tracer.summary(1.0)["solver.sweeps"] == 2
