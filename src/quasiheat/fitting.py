@@ -12,12 +12,15 @@ Two closely related problems back the regularity estimators:
   a few ulp of the threshold are re-tested with math.hypot.
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
-  over samples.  The fit is a small dense LP (variables: model coefficients
-  plus one slack), solved with HiGHS once a rank check has found the model
-  identifiable; least squares stands in when it is not.  Because the model depends on the
-  spatial offset only, samples sharing an offset are pruned to their
-  componentwise envelope before the LP, which keeps the constraint count at
-  twice the number of distinct offsets.
+  over samples.  Because the model depends on the spatial offset only,
+  samples sharing an offset are first pruned to their componentwise
+  envelope.  In d = 1 the fit is a Chebyshev line fit, solved exactly from
+  the convex hulls of the envelope in O(m log m); in d = 2 it is a small
+  dense LP (model coefficients plus one slack), scaled and solved with
+  HiGHS, whose scipy module is imported on the first LP.  Least squares
+  stands in, flagged degenerate, when the model is not identifiable or an
+  LP fails.  The reported residual is always the sup the returned model
+  achieves over the samples, so it bounds the model's error.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import linprog
 
 
 class FitError(ValueError):
@@ -226,57 +228,126 @@ class FitResult:
 
 
 def _prune_envelope(xrel: np.ndarray, values: np.ndarray) -> tuple:
-    """Collapse samples sharing an offset to componentwise min/max.
+    """(offsets, vmax, vmin): the distinct offsets, in increasing order, and
+    the componentwise max and min of the samples at each.
 
     Valid for the max-abs-component objective because the model value at a
     given offset is shared by all its samples.
     """
-    uniq, inv = np.unique(xrel, axis=0, return_inverse=True)
-    c = values.shape[1]
-    vmax = np.full((len(uniq), c), -np.inf)
-    vmin = np.full((len(uniq), c), np.inf)
-    np.maximum.at(vmax, inv, values)
-    np.minimum.at(vmin, inv, values)
-    x2 = np.concatenate([uniq, uniq], axis=0)
-    v2 = np.concatenate([vmax, vmin], axis=0)
-    return x2, v2
+    order = np.lexsort(xrel.T[::-1])  # rows in lexicographic order
+    xs, vs = xrel[order], values[order]
+    start = np.flatnonzero(np.concatenate([[True], np.any(xs[1:] != xs[:-1], axis=1)]))
+    return xs[start], np.maximum.reduceat(vs, start), np.minimum.reduceat(vs, start)
+
+
+def _sup_residual(model, x: np.ndarray, v: np.ndarray) -> float:
+    """The sup the model achieves over the samples, in its own arithmetic."""
+    return float(np.max(np.abs(v - model(x))))
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first LP: only d = 2 fits
+    solve LPs, so d = 1 runs never load scipy.optimize."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _minmax_fit(design: np.ndarray, targets: np.ndarray) -> tuple:
-    """(theta, t, degenerate) for min t s.t. |design @ theta - targets| <= t.
+    """(theta, degenerate) for min t s.t. |design @ theta - targets| <= t.
 
-    A full-rank design goes to HiGHS.  A rank-deficient design, or an LP that
-    fails, falls back to the least-squares theta and the sup it achieves, and
-    is flagged degenerate.
+    A full-rank design goes to HiGHS with each column and the targets scaled
+    to unit max-abs, so that its absolute 1e-7 tolerances act as relative
+    ones.  A rank-deficient design, or an LP that fails, falls back to the
+    least-squares theta and is flagged degenerate.
     """
     nrow, npar = design.shape
     if np.linalg.matrix_rank(design) == npar:
+        col = np.max(np.abs(design), axis=0)
+        scale = float(np.max(np.abs(targets))) or 1.0
         A_ub = np.zeros((2 * nrow, npar + 1))
-        A_ub[:nrow, :npar] = design
-        A_ub[nrow:, :npar] = -design
+        A_ub[:nrow, :npar] = design / col
+        A_ub[nrow:, :npar] = -A_ub[:nrow, :npar]
         A_ub[:, npar] = -1.0
         c = np.zeros(npar + 1)
         c[npar] = 1.0
         res = linprog(
             c,
             A_ub=A_ub,
-            b_ub=np.concatenate([targets, -targets]),
+            b_ub=np.concatenate([targets, -targets]) / scale,
             bounds=[(None, None)] * npar + [(0, None)],
             method="highs",
         )
         if res.success:
-            return res.x[:npar], float(res.x[npar]), False
+            return res.x[:npar] * scale / col, False
     theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    return theta, float(np.max(np.abs(design @ theta - targets))), True
+    return theta, True
+
+
+def _upper_hull(x: list, y: list) -> tuple:
+    """Vertices of the upper convex hull of points with increasing x
+    (Andrew's monotone chain)."""
+    hx, hy = [], []
+    for px, py in zip(x, y):
+        while len(hx) > 1 and (hx[-1] - hx[-2]) * (py - hy[-2]) >= (hy[-1] - hy[-2]) * (px - hx[-2]):
+            hx.pop()
+            hy.pop()
+        hx.append(px)
+        hy.append(py)
+    return np.array(hx), np.array(hy)
+
+
+def _minmax_line(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, free: bool) -> tuple:
+    """(theta, degenerate) of the exact d = 1 fit: theta = (slope, offset)
+    minimizes max |v - slope x - offset| over samples whose values at the
+    distinct increasing offsets ``x`` span [lo, hi]; when not ``free`` the
+    line passes through the origin and theta = (slope,).
+
+    For a slope s the best offset centres the values v - s x, leaving half
+    their spread.  The spread is convex and piecewise linear in s, with its
+    kinks at the edge slopes of the upper hull of (x, hi) and the lower hull
+    of (x, lo), so its minimum is at one of these (the equioscillation of
+    the Chebyshev line fit; Rivlin, *An Introduction to the Approximation of
+    Functions*).  Each candidate's spread reads one vertex per hull,
+    found by bisecting the hull's monotone edge slopes: O(m log m) in all.
+
+    A line through the origin fits the points exactly as well as it fits
+    their reflections through the origin, and the best free line of the
+    symmetric set passes through the origin, so the pinned fit is the free
+    fit of that set.  Fewer than two distinct offsets (free), or no nonzero
+    offset (pinned), leave the fit unidentifiable; its rank-deficient design
+    goes to ``_minmax_fit``, whose least squares stands in.
+    """
+    if (len(x) < 2) if free else not np.any(x):
+        x2 = np.concatenate([x, x])
+        design = np.stack([x2, np.ones_like(x2)], axis=1) if free else x2[:, None]
+        return _minmax_fit(design, np.concatenate([hi, lo]))
+    if not free:
+        xs, vmax, vmin = _prune_envelope(np.concatenate([x, x, -x, -x])[:, None],
+                                         np.concatenate([hi, lo, -hi, -lo])[:, None])
+        x, hi, lo = xs[:, 0], vmax[:, 0], vmin[:, 0]
+    ux, uy = _upper_hull(x.tolist(), hi.tolist())
+    lx, ly = _upper_hull(x.tolist(), (-lo).tolist())
+    ly = -ly
+    su = np.diff(uy) / np.diff(ux)  # decreasing
+    sl = np.diff(ly) / np.diff(lx)  # increasing
+    s = np.concatenate([su, sl])
+    iu = np.searchsorted(-su, -s)  # the upper vertex maximizing hi - s x
+    il = np.searchsorted(sl, s)  # the lower vertex minimizing lo - s x
+    spread = (uy[iu] - s * ux[iu]) - (ly[il] - s * lx[il])
+    slope = s[int(np.argmin(spread))]
+    offset = 0.5 * (np.max(hi - slope * x) + np.min(lo - slope * x))
+    return (np.array([slope, offset]) if free else np.array([slope])), False
 
 
 def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> FitResult:
     """Min-max fit of a vector field by B(x - x') + b with symmetric B.
 
     ``values`` are d-component samples at offsets ``xrel`` from the
-    basepoint.  The residual is the optimal sup over samples of the largest
-    absolute component; ``pin_b`` freezes the constant term (the default
-    slope analyses pin it to the field's basepoint value).
+    basepoint.  The residual is the sup over samples of the largest absolute
+    component that the returned model achieves; ``pin_b`` freezes the
+    constant term (the default slope analyses pin it to the field's
+    basepoint value).
     """
     x = np.asarray(xrel, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -292,31 +363,38 @@ def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> Fit
     if 2 * x.shape[0] < n_par + 1:
         raise FitError(f"need at least {n_par + 1} samples, got {x.shape[0]}")
 
-    xp, vp = _prune_envelope(x, v)
+    xp, vmax, vmin = _prune_envelope(x, v)
     if pin_b is not None:
-        vp = vp - np.asarray(pin_b, dtype=float)[None, :]
-
-    # one constraint row per (pruned sample, component)
-    design = np.zeros((xp.shape[0], d, n_par))
-    for p_idx, (i, j) in enumerate(pairs):
-        design[:, i, p_idx] += xp[:, j]
-        if i != j:
-            design[:, j, p_idx] += xp[:, i]
-    if pin_b is None:
-        for c in range(d):
-            design[:, c, len(pairs) + c] = 1.0
-    nrow = xp.shape[0] * d
-    theta, resid, degenerate = _minmax_fit(design.reshape(nrow, n_par), vp.reshape(nrow))
+        pb = np.asarray(pin_b, dtype=float)
+        vmax, vmin = vmax - pb, vmin - pb
+    if d == 1:
+        theta, degenerate = _minmax_line(xp[:, 0], vmax[:, 0], vmin[:, 0], pin_b is None)
+    else:
+        x2 = np.concatenate([xp, xp])
+        # one constraint row per (pruned sample, component)
+        design = np.zeros((x2.shape[0], d, n_par))
+        for p_idx, (i, j) in enumerate(pairs):
+            design[:, i, p_idx] += x2[:, j]
+            if i != j:
+                design[:, j, p_idx] += x2[:, i]
+        if pin_b is None:
+            for c in range(d):
+                design[:, c, len(pairs) + c] = 1.0
+        nrow = x2.shape[0] * d
+        theta, degenerate = _minmax_fit(design.reshape(nrow, n_par),
+                                        np.concatenate([vmax, vmin]).reshape(nrow))
 
     B = np.zeros((d, d))
     for p_idx, (i, j) in enumerate(pairs):
         B[i, j] = B[j, i] = theta[p_idx]
     b = np.asarray(pin_b, dtype=float) if pin_b is not None else theta[len(pairs):]
-    return FitResult(model=AffineModel(B=B, b=b), residual=resid, degenerate=degenerate)
+    model = AffineModel(B=B, b=b)
+    return FitResult(model=model, residual=_sup_residual(model, x, v), degenerate=degenerate)
 
 
 def fit_affine_scalar(xrel, values, pin_offset: Optional[float] = None) -> FitResult:
-    """Min-max fit of scalar samples by slope.(x - x') + offset."""
+    """Min-max fit of scalar samples by slope.(x - x') + offset; the residual
+    is the sup the returned model achieves."""
     x = np.asarray(xrel, dtype=float)
     v = np.asarray(values, dtype=float).reshape(-1)
     if x.ndim == 1:
@@ -325,14 +403,16 @@ def fit_affine_scalar(xrel, values, pin_offset: Optional[float] = None) -> FitRe
     n_par = d + (0 if pin_offset is not None else 1)
     if 2 * x.shape[0] < n_par + 1:
         raise FitError(f"need at least {n_par + 1} samples, got {x.shape[0]}")
-    xp, vp = _prune_envelope(x, v[:, None])
-    targets = vp[:, 0] - (pin_offset if pin_offset is not None else 0.0)
-    if pin_offset is not None:
-        design = xp
+    xp, vmax, vmin = _prune_envelope(x, v[:, None])
+    shift = pin_offset if pin_offset is not None else 0.0
+    hi, lo = vmax[:, 0] - shift, vmin[:, 0] - shift
+    if d == 1:
+        theta, degenerate = _minmax_line(xp[:, 0], hi, lo, pin_offset is None)
     else:
-        design = np.concatenate([xp, np.ones((xp.shape[0], 1))], axis=1)
+        x2 = np.concatenate([xp, xp])
+        design = x2 if pin_offset is not None else np.concatenate([x2, np.ones((len(x2), 1))], axis=1)
+        theta, degenerate = _minmax_fit(design, np.concatenate([hi, lo]))
 
-    theta, resid, degenerate = _minmax_fit(design, targets)
     offset = float(pin_offset) if pin_offset is not None else float(theta[d])
-    return FitResult(model=ScalarAffine(slope=theta[:d], offset=offset),
-                     residual=resid, degenerate=degenerate)
+    model = ScalarAffine(slope=theta[:d], offset=offset)
+    return FitResult(model=model, residual=_sup_residual(model, x, v), degenerate=degenerate)

@@ -516,7 +516,7 @@ def _theorem1(run: _Run) -> None:
             f">= {p['pass_fraction']} at slope <= {base_cap}",
         )
         bgap_ok = all(
-            rep.b_gap <= rep.residuals_free[0] + 1e-9 for _, rep in mreport.entries
+            rep.b_gap <= rep.residuals_free[0] for _, rep in mreport.entries
         )
         report.add_check(
             "constant_term_recovery", bgap_ok, None,

@@ -108,16 +108,18 @@ def test_criterion_2_headline_scaling(headline):
     frac_model = checks["modelled_slope_fraction"].value
     frac_base = checks["baseline_slope_fraction"].value
     n_bp = report.metrics["n_basepoints"]
+    failed = [c.name for c in report.checks if not c.passed]
     ok = (
         n_bp == 64
         and frac_model >= 0.8
         and frac_base >= 0.8
+        and report.passed
         and elapsed <= 900
     )
     report_line(2, "headline-scaling", ok,
                 f"modelled slope >= 1.25 on {frac_model:.0%} of {n_bp} basepoints "
                 f"(need >= 80%), baseline slope <= 1.0 on {frac_base:.0%}; "
-                f"{elapsed:.0f}s <= 900s")
+                f"failed checks {failed} (need none); {elapsed:.0f}s <= 900s")
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +312,18 @@ def test_criterion_6_minmax_fitting():
     t0 = time.time()
     rng = np.random.default_rng(2024)
     worst_fit = 0.0
+    worst_line = 0.0
+    worst_below = 0.0
     n_instances = 0
-    # 60 scalar free fits + 20 pinned fits against the exact dual-support oracle
+    # 60 scalar free fits + 20 pinned fits against the exact dual-support
+    # oracle; in d = 1 both the fit and the oracle are exact
     for _ in range(60):
         m = int(rng.integers(8, 30))
         xs = rng.uniform(-1, 1, size=m)
         vals = rng.normal(size=m)
         got = fit_affine_scalar(xs, vals).residual
         want = exact_affine_scalar_1d(xs, vals)
-        worst_fit = max(worst_fit, abs(got - want))
+        worst_line = max(worst_line, abs(got - want))
         n_instances += 1
     for _ in range(20):
         m = int(rng.integers(6, 20))
@@ -326,9 +331,10 @@ def test_criterion_6_minmax_fitting():
         vals = rng.normal(size=m)
         got = fit_affine_scalar(xs, vals, pin_offset=0.1).residual
         want = exact_affine_scalar_1d_pinned(xs, vals, 0.1)
-        worst_fit = max(worst_fit, abs(got - want))
+        worst_line = max(worst_line, abs(got - want))
         n_instances += 1
-    # 20 d=2 vector instances against exact LP-vertex enumeration
+    # 20 d=2 vector instances against exact LP-vertex enumeration; the
+    # residual is an achieved sup, so it may not fall below the optimum
     for _ in range(20):
         m = int(rng.integers(5, 7))
         H = rng.normal(size=(2, 2))
@@ -339,6 +345,7 @@ def test_criterion_6_minmax_fitting():
         design, targets = gradient_fit_design(X, V)
         want = exact_minmax_vertex(design, targets)
         worst_fit = max(worst_fit, abs(fit.residual - want))
+        worst_below = max(worst_below, want - fit.residual)
         n_instances += 1
 
     worst_ball = 0.0
@@ -354,13 +361,17 @@ def test_criterion_6_minmax_fitting():
     elapsed = time.time() - t0
     ok = (
         n_instances == 100
+        and worst_line <= 1e-12
         and worst_fit <= 1e-4
+        and worst_below <= 1e-12
         and worst_ball <= 1e-6
         and abs(bench - 0.5) <= 1e-3
     )
     report_line(6, "minmax-fitting", ok,
-                f"LP vs brute force residual gap {worst_fit:.2e} <= 1e-4 on "
-                f"{n_instances} instances, enclosing-ball gap {worst_ball:.2e} <= 1e-6, "
+                f"d=1 exact fit vs oracle gap {worst_line:.2e} <= 1e-12, d=2 LP vs "
+                f"brute force gap {worst_fit:.2e} <= 1e-4 and {worst_below:.2e} below "
+                f"it <= 1e-12, on {n_instances} instances, "
+                f"enclosing-ball gap {worst_ball:.2e} <= 1e-6, "
                 f"parabola benchmark residual {bench:.4f} = 0.5 +- 1e-3; {elapsed:.0f}s")
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,112 @@ def test_scalar_matches_exact_oracle():
         res = fit_affine_scalar(xs, vals)
         oracle = exact_affine_scalar_1d(xs, vals)
         assert abs(res.residual - oracle) < 1e-9
+
+
+def _line_fits(xs, vals, pin):
+    """The d = 1 fit of (xs, vals) through both public entry points."""
+    scalar = fit_affine_scalar(xs, vals, pin_offset=pin)
+    vector = fit_affine_gradient(xs[:, None], vals[:, None],
+                                 pin_b=None if pin is None else np.array([pin]))
+    return scalar, vector
+
+
+_H = 1.0 / 256  # the headline's grid spacing
+
+
+@pytest.mark.parametrize("kind", [
+    "duplicates", "collinear", "two_offsets", "with_zero", "without_zero", "headline",
+])
+def test_exact_line_fits_match_oracles_on_adversarial_sets(kind):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        if kind == "duplicates":
+            xs = np.repeat(rng.uniform(-1, 1, size=6), 4)
+            vals = rng.normal(size=24)
+        elif kind == "collinear":
+            xs = rng.integers(-8, 9, size=20) * _H
+            vals = 0.7 * xs - 0.2
+        elif kind == "two_offsets":
+            xs = rng.choice([-0.25, 0.5], size=12)
+            xs[:2] = [-0.25, 0.5]
+            vals = rng.normal(size=12)
+        elif kind == "with_zero":
+            xs = np.concatenate([[0.0, 0.0], rng.integers(-8, 9, size=14) * _H])
+            vals = rng.normal(size=16)
+        elif kind == "without_zero":
+            xs = rng.integers(1, 9, size=16) * _H * rng.choice([-1.0, 1.0], size=16)
+            vals = rng.normal(size=16)
+        else:  # smallest-radius remainders at the headline are about 1e-6
+            xs = np.repeat(np.arange(-3, 4) * _H, 5)
+            vals = 1e-6 * rng.normal(size=35) + 2e-6 * xs / _H
+        scale = float(np.max(np.abs(vals)))
+        pin = 0.3 * scale
+        free_oracle = exact_affine_scalar_1d(xs, vals)
+        pinned_oracle = exact_affine_scalar_1d_pinned(xs, vals, pin)
+        for fit in _line_fits(xs, vals, None):
+            assert not fit.degenerate
+            assert abs(fit.residual - free_oracle) <= 1e-13 * scale
+        for fit in _line_fits(xs, vals, pin):
+            assert not fit.degenerate
+            assert abs(fit.residual - pinned_oracle) <= 1e-13 * scale
+        if kind == "collinear":
+            assert all(fit.residual <= 1e-15 for fit in _line_fits(xs, vals, None))
+            assert all(fit.residual <= 1e-15 for fit in _line_fits(xs, vals + 0.2, 0.0))
+
+
+def test_exact_line_fits_flag_a_single_offset_degenerate():
+    xs = np.full(6, 0.125)
+    vals = np.linspace(-1.0, 1.0, 6)
+    for fit in _line_fits(xs, vals, None):  # slope and offset not identifiable
+        assert fit.degenerate
+        assert fit.residual == float(np.max(np.abs(vals - fit.model(xs[:, None]))))
+    zero = np.zeros(6)
+    for fit in _line_fits(zero, vals, 0.5):  # no nonzero offset pins the slope
+        assert fit.degenerate
+        assert fit.residual == 1.5
+    # one nonzero offset is enough for a pinned fit
+    assert not any(fit.degenerate for fit in _line_fits(xs, vals, 0.5))
+
+
+def _sup_of_model(fit, x, v):
+    x = np.asarray(x, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    return float(np.max(np.abs(np.asarray(v, dtype=float) - fit.model(x))))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_residual_is_the_sup_the_model_achieves(d):
+    # remainders at the headline's smallest radius are about 1e-6; an LP's
+    # slack variable can fall short of the sup its model achieves there
+    rng = np.random.default_rng(31 + d)
+    for _ in range(20):
+        x = rng.integers(-4, 5, size=(60, d)) * _H
+        v = 1e-6 * rng.normal(size=(60, d)) + x @ (3e-4 * np.eye(d))
+        fits = [(fit_affine_gradient(x, v), v),
+                (fit_affine_gradient(x, v, pin_b=v[0] + 1e-7), v),
+                (fit_affine_scalar(x, v[:, 0]), v[:, 0]),
+                (fit_affine_scalar(x, v[:, 0], pin_offset=1e-7), v[:, 0])]
+        for fit, target in fits:
+            assert fit.residual >= _sup_of_model(fit, x, target)
+
+
+def test_d1_runs_never_import_scipy_optimize(tmp_path):
+    script = f"""
+import sys
+import quasiheat
+from quasiheat.harness import ExperimentConfig, run_experiment
+assert "scipy.optimize" not in sys.modules, "loaded by import quasiheat"
+cfg = ExperimentConfig.from_dict(dict(
+    experiment="lemmas", grid={{"dim": 1, "n": 32}},
+    params={{"n_random": 2, "sim_basepoints": 1}},
+    seeds=[1], output_dir={str(tmp_path)!r}))
+run_experiment(cfg)
+assert "scipy.optimize" not in sys.modules, "loaded by a d = 1 lemmas run"
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scalar_pinned_matches_exact_oracle():

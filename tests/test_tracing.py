@@ -36,9 +36,11 @@ def test_tracer_wraps_every_target_and_removes_cleanly():
     stats = tracer.summary(1.0)
     assert stats["fitting.fit_affine_scalar.calls"] == 1
     assert stats["fitting.fit_affine_gradient.calls"] == 1
-    assert stats["fitting.linprog.calls"] == 2
-    # the observers evaluated each fit's model at the samples
-    assert abs(stats["fitting.residual_gap_max"]) < 1e-6
+    # the d = 1 fit is solved exactly, the d = 2 fit by one LP
+    assert stats["fitting.linprog.calls"] == 1
+    # the observers evaluated each fit's model at the samples, and each
+    # reported residual is the sup its model achieves there
+    assert stats["fitting.residual_gap_max"] == 0.0
 
 
 def test_each_public_solve_counts_one_sweep():
