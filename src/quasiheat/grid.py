@@ -398,18 +398,19 @@ class Spectral:
 
     def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
         """Gradient with a trailing component axis, batched over any leading
-        axes of hat.  In d = 2 it is a view of one inverse transform of the
-        components stacked along a new first axis."""
+        axes of hat.  In d = 2 it is a transposed view of one inverse
+        transform of the components stacked along a new first axis."""
         if self.grid.dim == 1:
             return self.to_phys(self.ik[0] * hat)[..., None]
-        ik = np.expand_dims(self.ik, tuple(range(1, hat.ndim - 1)))
-        return np.moveaxis(self.to_phys(ik * hat), 0, -1)
+        g = self.to_phys(self.ik[:, None] * hat.reshape(-1, *hat.shape[-2:]))
+        g = g.reshape(2, *hat.shape[:-1], -1)
+        return g.transpose(*range(1, g.ndim), 0)
 
     def divergence_hat(self, q: np.ndarray) -> np.ndarray:
         """Spectrum of the divergence of q, whose components are on the last axis."""
         if self.grid.dim == 1:
             return self.ik[0] * self.to_hat(q[..., 0])
-        qh = self.to_hat(np.moveaxis(q, -1, 0))
+        qh = self.to_hat(q.transpose(q.ndim - 1, *range(q.ndim - 1)))
         return self.ik[0] * qh[0] + self.ik[1] * qh[1]
 
     def fold_weights(self) -> np.ndarray:
