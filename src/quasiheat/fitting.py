@@ -15,17 +15,18 @@ Two closely related problems back the regularity estimators:
   over samples.  Because the model depends on the spatial offset only,
   samples sharing an offset are first pruned to their componentwise
   envelope.  In d = 1 the fit is a Chebyshev line fit, solved exactly from
-  the convex hulls of the envelope in O(m log m); in d = 2 it is a small
-  dense LP (model coefficients plus one slack), scaled and solved with
-  HiGHS, whose scipy module is imported on the first LP.  Least squares
-  stands in, flagged degenerate, when the model is not identifiable or an
-  LP fails.  The reported residual is always the sup the returned model
-  achieves over the samples, so it bounds the model's error.
+  the convex hulls of the envelope in O(m log m); in d = 2 it is scaled
+  and solved exactly by Stiefel's exchange algorithm, whose final reference
+  certifies the optimum.  Least squares stands in, flagged degenerate, when
+  the model is not identifiable or the exchange loop hits its cap.  The
+  reported residual is always the sup the returned model achieves over the
+  samples, so it bounds the model's error.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,41 +246,69 @@ def _sup_residual(model, x: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(v - model(x))))
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first LP: only d = 2 fits
-    solve LPs, so d = 1 runs never load scipy.optimize."""
-    from scipy.optimize import linprog as highs_linprog
+MinimaxResult = namedtuple("MinimaxResult", "x level success")
 
-    return highs_linprog(*args, **kwargs)
+
+def linprog(design: np.ndarray, targets: np.ndarray) -> MinimaxResult:
+    """min_x max_i |targets_i - design_i x|, for a design of full column rank
+    p, by Stiefel's exchange algorithm (the simplex method on the LP's dual).
+    A reference of p + 1 rows j with signs s_j fixes x and a level h by
+    design_j x + s_j h = targets_j; weights w >= 0 solving sum_j w_j
+    [s_j design_j, 1] = [0, 1] make h a lower bound on the optimum.  The row
+    of largest residual enters, the ratio test on w picks the row that
+    leaves, and the loop stops when the achieved sup meets h up to rounding.
+    Bland's rule, which cannot cycle, takes over after 5 (p + 1) exchanges;
+    after 50 (p + 1) the result is unsuccessful.  Returns (x, level h, success).
+    """
+    D, y, p = design, targets, design.shape[1]
+    # start: p independent rows by least-squares residual, and their interpolant's worst row
+    order = np.argsort(-np.abs(y - D @ np.linalg.lstsq(D, y, rcond=None)[0]), kind="stable")
+    rest, ref = D[order], []
+    for _ in range(p):
+        left = np.linalg.norm(rest, axis=1)
+        j = int(np.argmax(left >= 1e-6 * left.max()))
+        rest = rest - np.outer(rest @ rest[j], rest[j]) / left[j] ** 2
+        ref.append(order[j])
+    worst = int(np.argmax(np.abs(y - D @ np.linalg.solve(D[ref], y[ref]))))
+    # signs from the null vector of the transposed reference give w, h >= 0
+    null = np.append(-np.linalg.solve(D[ref].T, D[worst]), 1.0)
+    ref = np.append(ref, worst)
+    sign = np.copysign(1.0, null) * np.copysign(1.0, null @ y[ref])
+    for it in range(50 * (p + 1)):
+        # the basis columns [s_j design_j, 1] are s_j times this system's rows
+        inv = np.linalg.inv(np.column_stack([D[ref], sign]))
+        sol = inv @ y[ref]
+        x, h = sol[:p], float(sol[p])
+        r = y - D @ x
+        gap = np.abs(r) - h
+        tol = 32 * np.finfo(float).eps * (1.0 + np.abs(x).sum())
+        bland = it >= 5 * (p + 1)
+        k = int(np.argmax(gap > tol if bland else gap))
+        if gap[k] <= tol:  # rounding can put h an ulp above the sup it bounds
+            return MinimaxResult(x, min(h, float(np.max(np.abs(r)))), True)
+        s = np.copysign(1.0, r[k])
+        w, step = sign * inv[p], sign * (inv.T @ np.append(s * D[k], 1.0))
+        ratio = np.where(step > 1e-12, np.maximum(w, 0.0) / np.maximum(step, 1e-12), np.inf)
+        ties = np.flatnonzero(ratio <= ratio.min())
+        out = ties[np.argmin(ref[ties])] if bland else ties[np.argmax(step[ties])]
+        ref[out], sign[out] = k, s
+    return MinimaxResult(x, h, False)
 
 
 def _minmax_fit(design: np.ndarray, targets: np.ndarray) -> tuple:
-    """(theta, degenerate) for min t s.t. |design @ theta - targets| <= t.
+    """(theta, degenerate) minimizing max |design @ theta - targets|.
 
-    A full-rank design goes to HiGHS with each column and the targets scaled
-    to unit max-abs, so that its absolute 1e-7 tolerances act as relative
-    ones.  A rank-deficient design, or an LP that fails, falls back to the
-    least-squares theta and is flagged degenerate.
+    A full-rank design goes to ``linprog`` with each column and the targets
+    scaled to unit max-abs, so that its tolerances act as relative ones.  A
+    rank-deficient design, or an exchange loop that hits its cap, falls
+    back to the least-squares theta and is flagged degenerate.
     """
-    nrow, npar = design.shape
-    if np.linalg.matrix_rank(design) == npar:
+    if np.linalg.matrix_rank(design) == design.shape[1]:
         col = np.max(np.abs(design), axis=0)
         scale = float(np.max(np.abs(targets))) or 1.0
-        A_ub = np.zeros((2 * nrow, npar + 1))
-        A_ub[:nrow, :npar] = design / col
-        A_ub[nrow:, :npar] = -A_ub[:nrow, :npar]
-        A_ub[:, npar] = -1.0
-        c = np.zeros(npar + 1)
-        c[npar] = 1.0
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=np.concatenate([targets, -targets]) / scale,
-            bounds=[(None, None)] * npar + [(0, None)],
-            method="highs",
-        )
+        res = linprog(design / col, targets / scale)
         if res.success:
-            return res.x[:npar] * scale / col, False
+            return res.x * scale / col, False
     theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return theta, True
 

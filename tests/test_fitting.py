@@ -19,7 +19,10 @@ from oracles import (
     brute_chebyshev,
     exact_affine_scalar_1d,
     exact_affine_scalar_1d_pinned,
+    exact_minmax_vertex,
+    gradient_fit_design,
 )
+from quasiheat import fitting
 from quasiheat.fitting import _outside
 from welzl_reference import _EPS_IN, _in_circle, min_enclosing_circle
 
@@ -287,6 +290,109 @@ assert "scipy.optimize" not in sys.modules, "loaded by a d = 1 lemmas run"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_run_imports_scipy():
+    script = """
+import sys
+import numpy as np
+import quasiheat
+from quasiheat.fitting import fit_affine_gradient, fit_affine_scalar
+rng = np.random.default_rng(3)
+x = rng.uniform(-1, 1, size=(20, 2))
+v = rng.normal(size=(20, 2))
+fits = [fit_affine_gradient(x, v), fit_affine_gradient(x, v, pin_b=v[0]),
+        fit_affine_scalar(x, v[:, 0]), fit_affine_scalar(x, v[:, 0], pin_offset=0.5)]
+assert not any(fit.degenerate for fit in fits)
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _lattice_set(kind, rng):
+    """A small d = 2 sample set on the headline lattice that invites ties
+    and degenerate references."""
+    m = int(rng.integers(4, 7))
+    x = rng.integers(-3, 4, size=(m, 2)) * _H
+    if kind == "half_integer_ties":
+        v = rng.integers(-2, 3, size=(m, 2)) * 0.5
+    elif kind == "collinear_offsets":
+        t = rng.integers(-4, 5, size=m)
+        x = np.stack([t, 2 * t], axis=1) * _H
+        x[0] = [_H, 0.0]  # one offset off the line keeps the fits identifiable
+        v = rng.normal(size=(m, 2))
+    elif kind == "near_exact":
+        v = x @ np.array([[3e-4, 1e-4], [1e-4, -2e-4]]) + 1e-5 + 1e-6 * rng.normal(size=(m, 2))
+    else:  # quantized values
+        v = np.round(4 * rng.normal(size=(m, 2))) / 4
+    return x, v
+
+
+def _fits_with_designs(x, v):
+    """(fit, design, targets): free and pinned, gradient and scalar fits of
+    (x, v) with the unpruned design the vertex oracle minimizes over."""
+    pin = v[0] + 0.1 * float(np.max(np.abs(v)))
+    design, targets = gradient_fit_design(x, v)
+    affine = np.concatenate([x, np.ones((len(x), 1))], axis=1)
+    return [
+        (fit_affine_gradient(x, v), design, targets),
+        (fit_affine_gradient(x, v, pin_b=pin), design[:, :3], (v - pin).reshape(-1)),
+        (fit_affine_scalar(x, v[:, 0]), affine, v[:, 0]),
+        (fit_affine_scalar(x, v[:, 0], pin_offset=pin[0]), x, v[:, 0] - pin[0]),
+    ]
+
+
+_LATTICE_KINDS = ["half_integer_ties", "collinear_offsets", "near_exact", "quantized"]
+
+
+@pytest.mark.parametrize("kind", _LATTICE_KINDS)
+def test_exchange_fits_match_vertex_oracle_on_adversarial_lattices(kind):
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        for fit, design, targets in _fits_with_designs(*_lattice_set(kind, rng)):
+            assert not fit.degenerate
+            scale = float(np.max(np.abs(targets)))
+            assert abs(fit.residual - exact_minmax_vertex(design, targets)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", _LATTICE_KINDS)
+def test_exchange_solver_certifies_its_optimum(kind, monkeypatch):
+    # the level of the final reference is a lower bound on the optimum of
+    # the scaled problem, and the sup its solution achieves meets it
+    solve, calls = fitting.linprog, []
+
+    def recording(design, targets):
+        result = solve(design, targets)
+        calls.append((design, targets, result))
+        return result
+
+    monkeypatch.setattr(fitting, "linprog", recording)
+    rng = np.random.default_rng(41)  # the sets of the vertex-oracle test
+    for _ in range(6):
+        _fits_with_designs(*_lattice_set(kind, rng))
+    assert len(calls) == 24
+    for design, targets, result in calls:
+        assert result.success
+        achieved = float(np.max(np.abs(targets - design @ result.x)))
+        assert result.level <= achieved <= result.level + 1e-12 * np.max(np.abs(targets))
+
+
+def test_unsuccessful_exchange_falls_back_to_least_squares(monkeypatch):
+    monkeypatch.setattr(fitting, "linprog", lambda design, targets: fitting.MinimaxResult(
+        x=np.zeros(design.shape[1]), level=0.0, success=False))
+    rng = np.random.default_rng(44)
+    x = rng.uniform(-1, 1, size=(30, 2))
+    v = rng.normal(size=(30, 2))
+    fit = fit_affine_scalar(x, v[:, 0])
+    assert fit.degenerate
+    lsq, *_ = np.linalg.lstsq(np.concatenate([x, np.ones((30, 1))], axis=1), v[:, 0], rcond=None)
+    assert np.allclose(np.append(fit.model.slope, fit.model.offset), lsq, rtol=0, atol=1e-12)
+    assert fit.residual == _sup_of_model(fit, x, v[:, 0])
+    assert fit_affine_gradient(x, v).degenerate
 
 
 def test_scalar_pinned_matches_exact_oracle():
