@@ -39,7 +39,6 @@ from .regularity import (
     time_term_constant,
 )
 from .solver import (
-    SolveConfig,
     Trajectory,
     solve_anisotropic_batch,
     solve_linear_constant,
@@ -61,7 +60,7 @@ __all__ = [
     "ModellingReport", "RegularityParams", "baseline_remainder", "flux_mismatch",
     "holder_seminorm", "increment_affine_pair", "increment_constant",
     "modelling_remainder", "time_term_constant",
-    "SolveConfig", "Trajectory", "solve_anisotropic_batch",
+    "Trajectory", "solve_anisotropic_batch",
     "solve_linear_constant", "solve_nonlinear",
     "ExperimentConfig", "RunReport", "run_experiment",
 ]

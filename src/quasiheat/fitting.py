@@ -369,6 +369,12 @@ def _minmax_line(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, free: bool) -> t
     return (np.array([slope, offset]) if free else np.array([slope])), False
 
 
+def gradient_fit_samples(d: int, pinned: bool = False) -> int:
+    """The fewest samples ``fit_affine_gradient`` takes in d dimensions: their
+    bounds above and below must outnumber the entries of sym(B) and b."""
+    return (d * (d + 1) // 2 + (0 if pinned else d)) // 2 + 1
+
+
 def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> FitResult:
     """Min-max fit of a vector field by B(x - x') + b with symmetric B.
 
@@ -389,8 +395,9 @@ def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> Fit
         raise FitError("gradient fit expects d-component values")
     pairs = [(i, j) for i in range(d) for j in range(i, d)]  # entries of sym(B)
     n_par = len(pairs) + (0 if pin_b is not None else d)
-    if 2 * x.shape[0] < n_par + 1:
-        raise FitError(f"need at least {n_par + 1} samples, got {x.shape[0]}")
+    need = gradient_fit_samples(d, pinned=pin_b is not None)
+    if x.shape[0] < need:
+        raise FitError(f"need at least {need} samples, got {x.shape[0]}")
 
     xp, vmax, vmin = _prune_envelope(x, v)
     if pin_b is not None:

@@ -12,7 +12,7 @@ callers keeping their analysis windows away from the seam.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -90,9 +90,6 @@ class GridSpec:
         while stride * dt > 16.0 * dx * dx * (1 + 1e-12):
             stride //= 2
         return GridSpec(dim=dim, n=n, t_end=t_end, dt=dt, snap_stride=stride)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def torus_delta(x1, x2) -> np.ndarray:
@@ -298,6 +295,21 @@ class CylinderWindow:
         return CylinderSamples(times=self.times, xrel=self.xrel, values=vals, basepoint_node=self.basepoint_node)
 
 
+def ball_offsets(grid: GridSpec, r: float) -> tuple:
+    """(offs, inball, pts) of the ball |x| < r around a node: its bounding
+    box's offsets per axis, the in-ball mask over the box, and the in-ball
+    lattice offsets, one row each in row-major box order."""
+    m = int(math.ceil(r / grid.dx)) - 1
+    offs = np.arange(-m, m + 1)
+    if grid.dim == 1:
+        inball = np.abs(offs * grid.dx) < r - 1e-12
+        return offs, inball, offs[inball].reshape(-1, 1)
+    ox, oy = np.meshgrid(offs, offs, indexing="ij")
+    pts = np.stack([ox.ravel(), oy.ravel()], axis=1)
+    inball = (np.linalg.norm(pts * grid.dx, axis=1) < r - 1e-12).reshape(ox.shape)
+    return offs, inball, pts[inball.ravel()]
+
+
 def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow:
     """Snapshot slab and grid nodes with torus distance < r from x'."""
     grid = f.grid
@@ -308,16 +320,7 @@ def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow
         raise GridError("empty time slab: snapshot cadence insufficient for radius")
 
     node0 = f.node_index(cyl.x)
-    m = int(math.ceil(cyl.r / grid.dx)) - 1
-    offs = np.arange(-m, m + 1)
-    if grid.dim == 1:
-        inball = np.abs(offs * grid.dx) < cyl.r - 1e-12
-        pts = offs[inball].reshape(-1, 1)
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        pts = np.stack([ox.ravel(), oy.ravel()], axis=1)
-        inball = (np.linalg.norm(pts * grid.dx, axis=1) < cyl.r - 1e-12).reshape(ox.shape)
-        pts = pts[inball.ravel()]
+    offs, inball, pts = ball_offsets(grid, cyl.r)
 
     times = f.times[j0 : it + 1].copy()
     # zero-extension below t = 0, on the snapshot cadence, for a field whose

@@ -35,8 +35,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .corpus import build_corpus
-from .grid import GridError, GridSpec, SpaceTimeField
-from .noise import NoiseError, NoisePath, NoiseSpec, covariance_diagnostics, write_spectrum_csv
+from .grid import (GridError, GridSpec, ParabolicCylinder, SpaceTimeField, ball_offsets,
+                   cylinder_samples, cylinder_window, lattice_shifts)
+from .noise import (NOISE_END, NoiseError, NoisePath, NoiseSpec, covariance_diagnostics,
+                    write_spectrum_csv)
 from .nonlinearity import (Nonlinearity, NonlinearityError, builtin_family, freeze,
                            increment_averaged_coefficient, validate)
 from .regularity import (
@@ -52,9 +54,8 @@ from .regularity import (
     modelling_remainder,
     time_term_constant,
 )
-from .fitting import fit_affine_gradient
-from .grid import ParabolicCylinder, cylinder_samples, cylinder_window, lattice_shifts
-from .solver import SolveConfig, SolverDivergenceError, solve_anisotropic_batch
+from .fitting import fit_affine_gradient, gradient_fit_samples
+from .solver import SolverDivergenceError, solve_anisotropic_batch
 
 
 class ConfigError(ValueError):
@@ -240,6 +241,10 @@ class ExperimentConfig:
         if self.experiment == "lemmas" and not _small_radii(radii):
             raise ConfigError(f"lemmas needs a radius r <= 1/8 with 3r < 1/2, got {radii}; "
                               "lower regularity.r_min_factor or raise grid.n")
+        nodes, need = len(ball_offsets(grid, radii[0])[2]), gradient_fit_samples(grid.dim)
+        if self.experiment in ("theorem1", "lemmas") and nodes < need:
+            raise ConfigError(f"the smallest radius {radii[0]} holds {nodes} grid node(s), fewer "
+                              f"than the {need} an affine fit needs; raise regularity.r_min_factor")
         return reg
 
     def parameter_block(self) -> dict:
@@ -364,12 +369,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _solve(path: NoisePath, A: Nonlinearity, members: list, rows: list = None) -> list:
-    """One sweep of ``members`` on ``path`` with ``A`` as the flux: a member
-    ``A`` takes the flux step, any other member is a constant coefficient."""
-    return solve_anisotropic_batch(SolveConfig(path=path, A=A), members, rows)
-
-
 def _model_rows(grad: SpaceTimeField, z, r_max: float) -> slice:
     """The snapshot rows of (t' - r_max^2, t'], which hold every cylinder of z
     of radius <= r_max."""
@@ -417,7 +416,7 @@ def _noise_diag(run: _Run) -> None:
     for seed in run.seeds:
         path = cfg.build_noise_path(grid, seed)
         diag = covariance_diagnostics(path, int(p["n_samples"]), int(p["max_lag"]))
-        all_diags[str(seed)] = diag.to_dict()
+        all_diags[str(seed)] = asdict(diag)
         rel = max(diag.covariance_rel_error)
         report.add_at_most(f"covariance_rel_error[seed={seed}]", rel, p["covariance_rtol"],
                            detail=f"lags {diag.lags}")
@@ -462,7 +461,7 @@ def _theorem1(run: _Run) -> None:
         )
         try:
             # nothing reads the states, and u, v are read at every snapshot
-            u, v = _solve(path, A, [_model_member(A), None], rows=[slice(None)] * 2)
+            u, v = solve_anisotropic_batch(path, [_model_member(A), None], rows=[slice(None)] * 2)
         except SolverDivergenceError as exc:
             errors.append({"seed": seed, "error": str(exc)})
             continue
@@ -473,11 +472,11 @@ def _theorem1(run: _Run) -> None:
         }
         zs = draw_basepoints(
             grid, u.gradient.times, int(p["basepoints"]), seed,
-            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, path.spec.t_support[1]),
+            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, NOISE_END),
         )
         coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
         slabs = [_model_rows(u.gradient, z, reg.radii[-1]) for z in zs]
-        for z, slab, va in zip(zs, slabs, _solve(path, A, coeffs, rows=slabs)):
+        for z, slab, va in zip(zs, slabs, solve_anisotropic_batch(path, coeffs, rows=slabs)):
             gu = SpaceTimeField(grid, u.gradient.times[slab], u.gradient.values[slab])
             rep = modelling_remainder(
                 gu, va.gradient, z, reg,
@@ -674,7 +673,7 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
     # simulated gradient fields exercise the same families on real solutions;
     # u advances through the flux step even when A is linear
     for seed in seeds:
-        (u,) = _solve(cfg.build_noise_path(grid, seed), A, [A])
+        (u,) = solve_anisotropic_batch(cfg.build_noise_path(grid, seed), [A])
         gu = u.gradient
         su_global = holder_seminorm(gu, alpha, pair_budget=reg.pair_budget)
         zs = draw_basepoints(grid, u.state.times, int(p["sim_basepoints"]), seed,
@@ -757,7 +756,8 @@ def _apriori_sweep(run: _Run) -> None:
             path = cfg.build_noise_path(grid, seed, sigma=sigma)
             try:
                 # nothing reads the states
-                u, v = _solve(path, A, [_model_member(A), None], rows=[slice(None)] * 2)
+                u, v = solve_anisotropic_batch(path, [_model_member(A), None],
+                                               rows=[slice(None)] * 2)
             except SolverDivergenceError as exc:
                 failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
                 continue
@@ -801,7 +801,7 @@ def _apriori_sweep(run: _Run) -> None:
     base = [r for r in rows if r["seed"] == run.seeds[0] and r["sigma"] == 1.0]
     if p["refine"] and base:
         path2 = cfg.build_noise_path(cfg.build_grid(refine=2), run.seeds[0], sigma=1.0)
-        (u2,) = _solve(path2, A, [_model_member(A)], rows=[slice(None)])
+        (u2,) = solve_anisotropic_batch(path2, [_model_member(A)], rows=[slice(None)])
         su2 = holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
         ratio = su2 / base[0]["grad_u"] if base[0]["grad_u"] > 0 else float("inf")
         cap = p["refine_ratio_cap"]
@@ -868,11 +868,11 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     reg = cfg.build_regularity(grid)
     return {
         "config_hash": cfg.config_hash,
-        "grid": grid.to_dict(),
+        "grid": asdict(grid),
         "n_steps": grid.n_steps,
         "n_snapshots": len(grid.snapshot_times()),
-        "noise": spec.to_dict(),
-        "nonlinearity": cert.to_dict(),
+        "noise": asdict(spec),
+        "nonlinearity": asdict(cert),
         "radii": [float(r) for r in reg.radii],
         "parameters": cfg.parameter_block(),
     }

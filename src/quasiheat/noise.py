@@ -3,10 +3,11 @@
 The spatial spectrum is pinned to K_hat(k) = sigma^2 (1+|k|^2)^(-s/2) on the
 resolved modes k in (2*pi*Z)^d, with s = 2*alpha + d, which places the
 gradient of the linear solution at spatial Hoelder regularity alpha.  Each
-time-step increment is an independent Gaussian field with mode variance
-dt*K_hat(k); increments are never stored but regenerated from a counter-based
-stream keyed by (master_seed, step), so any step can be resampled bit-exactly
-in any order, and paths built from one spec agree bit for bit.  One path
+time-step increment in [0, NOISE_END) = [0, 1) is an independent Gaussian
+field with mode variance dt*K_hat(k), and every later one is zero.
+Increments are never stored but regenerated from a counter-based stream
+keyed by (master_seed, step), so any step can be resampled bit-exactly in
+any order, and paths built from one spec agree bit for bit.  One path
 object is not thread-safe (see ``NoisePath``); give each thread its own.
 The mode layout, the transforms and the half-spectrum folding belong to
 ``grid.Spectral``; this module owns no frequencies of its own.
@@ -24,6 +25,8 @@ from numpy.random import Generator, Philox
 
 from .grid import GridSpec, SpaceTimeField, Spectral
 
+NOISE_END = 1.0  # the noise acts on 0 <= t < NOISE_END
+
 
 class NoiseError(ValueError):
     pass
@@ -37,7 +40,6 @@ class NoiseSpec:
     dim: int
     sigma: float = 1.0
     master_seed: int = 0
-    t_support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if not (0.5 < self.alpha < 1.0):
@@ -52,15 +54,6 @@ class NoiseSpec:
     @property
     def s(self) -> float:
         return 2.0 * self.alpha + self.dim
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "master_seed": self.master_seed,
-            "t_support": list(self.t_support),
-        }
 
 
 def build_spectrum(spec: NoiseSpec, grid: GridSpec) -> np.ndarray:
@@ -113,12 +106,10 @@ class NoisePath:
         return self._amp
 
     def _active(self, step: int) -> bool:
-        t = step * self.grid.dt
-        lo, hi = self.spec.t_support
-        return (lo - 1e-12) <= t < (hi - 1e-12)
+        return step * self.grid.dt < NOISE_END - 1e-12
 
     def increment_hat(self, step: int) -> np.ndarray:
-        """Half-spectrum of the step's increment (zero outside t-support)."""
+        """Half-spectrum of the step's increment (zero from t = NOISE_END on)."""
         grid = self.grid
         shape = self._amp.shape
         if not self._active(step) or self.spec.sigma == 0.0:
@@ -176,9 +167,6 @@ class NoiseDiagnostics:
     deterministic_replay: bool
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) -> NoiseDiagnostics:
     """Monte Carlo self-test of the synthesized noise against its spectrum.
@@ -189,7 +177,7 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     if n_samples < 10**3:
         raise NoiseError("need at least 1e3 samples for covariance diagnostics")
     grid = path.grid
-    n_steps_avail = int((path.spec.t_support[1] - path.spec.t_support[0]) / grid.dt)
+    n_steps_avail = int(NOISE_END / grid.dt)
     if n_samples > n_steps_avail:
         raise NoiseError(
             f"only {n_steps_avail} in-support steps available for {n_samples} samples"

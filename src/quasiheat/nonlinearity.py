@@ -143,9 +143,6 @@ class CertificationReport:
     declared_Lambda: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 # ``validate`` draws this many gradient probes from [-_PROBE_BOX, _PROBE_BOX]^d
 _PROBES = 2000

@@ -86,6 +86,8 @@ class RegularityParams:
         pair_budget: int = DEFAULTS["pair_budget"],
         y_budget: int = DEFAULTS["y_budget"],
     ) -> "RegularityParams":
+        if r_min_factor < 1:
+            raise RegularityError(f"r_min_factor must be at least 1, got {r_min_factor}")
         r = r_min_factor * grid.dx
         radii = []
         while r <= r_max + 1e-12:

@@ -16,10 +16,7 @@ which damps the stiff part unconditionally (the explicit remainder has
 Jacobian norm at most 2 because |DA eta| <= |eta|) and, crucially, injects
 each fresh noise increment with unit coefficient -- exactly as the
 constant-coefficient integrator below does, so the noise-transfer error
-cancels in differences of solutions driven by the same path.  A classical
-rational variant (u_hat + dt N_hat + dW_hat) / (1 + |k|^2 dt) is retained as
-scheme="imex" for cross-checks; its noise factor 1/(1+|k|^2 dt) pollutes the
-high modes of solution differences and is not used for modelledness runs.
+cancels in differences of solutions driven by the same path.
 
 Constant-coefficient equations use the exact per-mode exponential update
 
@@ -27,8 +24,10 @@ Constant-coefficient equations use the exact per-mode exponential update
 
 which removes time-discretization error from the model side.
 
-``solve_anisotropic_batch(cfg, members, rows)`` is the entry point: a member
-is the flux ``cfg.A`` (at most one) or a constant coefficient (``None`` is
+``solve_anisotropic_batch(path, members, rows)`` is the entry point.  Every
+member starts from rest at t = 0 (fields are zero for t <= 0) under the
+path's noise, which stops at t = 1 (``noise.NOISE_END``).  A member is a
+flux ``Nonlinearity`` (at most one) or a constant coefficient (``None`` is
 the heat model); it keeps state and gradient at every snapshot, or only its
 gradient on given rows, such as the slab a frozen model's cylinders read.
 ``solve_nonlinear`` and ``solve_linear_constant`` are batches of one.  Every
@@ -44,7 +43,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, Spectral
+from .grid import SpaceTimeField, Spectral
 from .noise import NoisePath
 from .nonlinearity import FrozenCoefficient, Nonlinearity, validate
 
@@ -59,31 +58,6 @@ class SolverDivergenceError(SolverError):
             f"non-finite state at step {step}: time step violates the stability bound"
         )
         self.step = step
-
-
-@dataclass
-class SolveConfig:
-    """Shared solver setup; dt comes from the noise path's grid and must
-    satisfy cfl <= 1/4."""
-
-    path: NoisePath
-    A: Nonlinearity
-    scheme: str = "exp"
-    initial_state: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.scheme not in ("exp", "imex"):
-            raise SolverError(f"unknown scheme {self.scheme!r}")
-        cfl = self.grid.dt / (self.grid.dx * self.grid.dx)
-        if cfl > 0.25 + 1e-12:
-            raise SolverError(f"cfl = {cfl} exceeds 1/4")
-        if self.A.dim != self.grid.dim:
-            raise SolverError("nonlinearity dimension does not match the grid")
-        validate(self.A)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.path.grid
 
 
 @dataclass(frozen=True)
@@ -105,37 +79,46 @@ def _coeff_matrix(a) -> Optional[np.ndarray]:
 
 
 def solve_anisotropic_batch(
-    cfg: SolveConfig,
+    path: NoisePath,
     members: Sequence[Union[Nonlinearity, FrozenCoefficient, np.ndarray, None]],
     rows: Optional[Sequence[Optional[slice]]] = None,
 ) -> List[Trajectory]:
-    """One sweep over the steps advancing every member on one noise path.
+    """One sweep over the steps advancing every member from rest on ``path``.
 
-    A member is the flux ``cfg.A`` (at most one), a constant coefficient
+    A member is a flux ``Nonlinearity`` (at most one), a constant coefficient
     (``FrozenCoefficient`` or matrix), or ``None`` for the heat model.  Each
     increment is made once per step and shared, and every member is bitwise
-    identical to a run of it alone: the flux member takes the ``exp``/``imex``
+    identical to a run of it alone: the flux member takes the exponential
     step of the module docstring, the constant-coefficient members are
     stacked along a leading axis and take the exact per-mode update.
+    dt comes from the path's grid and must satisfy cfl <= 1/4.
     ``rows[i]`` None (the default) keeps member i's state and gradient at
     every snapshot; a slice of snapshot rows keeps only its gradient there.
     The sweep stops after the last kept row, and every member is checked for
     finiteness at every snapshot, kept or not.
     """
-    return _sweep(cfg, members, rows)
+    return _sweep(path, members, rows)
 
 
-def _sweep(cfg: SolveConfig, members, rows) -> List[Trajectory]:
+def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
     """The engine of the three public solves; each calls it once, so tracing
     their names counts one sweep per call."""
+    grid = path.grid
+    dt = grid.dt
+    cfl = dt / (grid.dx * grid.dx)
+    if cfl > 0.25 + 1e-12:
+        raise SolverError(f"cfl = {cfl} exceeds 1/4")
     if len(members) == 0:
         return []
-    grid = cfg.grid
-    dt = grid.dt
-    sp = Spectral(grid)
     flux = [i for i, m in enumerate(members) if isinstance(m, Nonlinearity)]
-    if len(flux) > 1 or any(members[i] is not cfg.A for i in flux):
-        raise SolverError("a sweep advances at most one flux member, and it must be cfg.A")
+    if len(flux) > 1:
+        raise SolverError("a sweep advances at most one flux member")
+    A = members[flux[0]] if flux else None
+    if A is not None:
+        if A.dim != grid.dim:
+            raise SolverError("nonlinearity dimension does not match the grid")
+        validate(A)
+    sp = Spectral(grid)
     linear = [i for i in range(len(members)) if i not in flux]
     slot = {i: k for k, i in enumerate(linear)}  # member -> row of the linear stack
 
@@ -147,15 +130,11 @@ def _sweep(cfg: SolveConfig, members, rows) -> List[Trajectory]:
     last = max(s[-1] for s in spans)
     n_steps = grid.n_steps if last == len(times) - 1 else last * grid.snap_stride
 
-    mu0 = sp.symbol()
-    decay0 = np.exp(-mu0 * dt)
-    rational = 1.0 / (1.0 + mu0 * dt)
-    exp_scheme = cfg.scheme == "exp"
+    decay0 = np.exp(-sp.symbol() * dt)
     if linear:
         decay = np.stack([np.exp(-sp.symbol(_coeff_matrix(members[i])) * dt) for i in linear])
 
-    init = cfg.initial_state
-    uh = h0 = sp.to_hat(np.zeros(grid.shape) if init is None else np.asarray(init, dtype=float))
+    uh = h0 = sp.to_hat(np.zeros(grid.shape))
     vh = np.repeat(h0[None], len(linear), axis=0)
 
     states = [np.empty((len(s),) + grid.shape) if r is None else None for r, s in zip(rows, spans)]
@@ -174,13 +153,10 @@ def _sweep(cfg: SolveConfig, members, rows) -> List[Trajectory]:
     for step in range(n_steps):
         if flux:
             g = sp.gradient_phys(uh)
-            nh = sp.divergence_hat(cfg.A.ev(g) - g)
-        dw = cfg.path.increment_hat(step)
+            nh = sp.divergence_hat(A.ev(g) - g)
+        dw = path.increment_hat(step)
         if flux:
-            if exp_scheme:
-                uh = decay0 * (uh + dt * nh) + dw
-            else:
-                uh = (uh + dt * nh + dw) * rational
+            uh = decay0 * (uh + dt * nh) + dw
         if linear:
             np.multiply(decay, vh, out=vh)
             vh += dw
@@ -197,12 +173,12 @@ def _sweep(cfg: SolveConfig, members, rows) -> List[Trajectory]:
     ]
 
 
-def solve_nonlinear(cfg: SolveConfig) -> Trajectory:
-    """Advance the quasilinear equation from rest on the configured path."""
-    return _sweep(cfg, [cfg.A], None)[0]
+def solve_nonlinear(path: NoisePath, A: Nonlinearity) -> Trajectory:
+    """Advance the quasilinear equation with flux ``A`` from rest on ``path``."""
+    return _sweep(path, [A], None)[0]
 
 
-def solve_linear_constant(cfg: SolveConfig, a=None) -> Trajectory:
+def solve_linear_constant(path: NoisePath, a=None) -> Trajectory:
     """Exact-exponential (per-mode OU) solve of the constant-coefficient
-    equation; ``a=None`` gives the plain heat model."""
-    return _sweep(cfg, [a], None)[0]
+    equation from rest on ``path``; ``a=None`` gives the plain heat model."""
+    return _sweep(path, [a], None)[0]

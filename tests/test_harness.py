@@ -381,13 +381,13 @@ def test_refined_lemma_run_solves_once_per_seed_on_the_base_grid(tmp_path, monke
     import quasiheat.harness as harness
 
     grids = []
-    inner = harness._solve
+    inner = harness.solve_anisotropic_batch
 
     def counted(path, *args, **kwargs):
         grids.append(path.grid)
         return inner(path, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_solve", counted)
+    monkeypatch.setattr(harness, "solve_anisotropic_batch", counted)
     cfg = ExperimentConfig.from_dict({
         "experiment": "lemmas", "grid": {"n": 32}, "seeds": [1, 2],
         "params": {"n_random": 3, "sim_basepoints": 1, "refine": True},
@@ -493,10 +493,45 @@ def test_lemmas_without_a_small_radius_rejected(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# each smallest ball holds one node, where the free affine fit needs 2 (d = 1)
+# or 3 (d = 2); a solve used to end in a FitError traceback
+_TOO_SMALL = {
+    "theorem1-d1": ("theorem1", ["grid.n=64"]),
+    "lemmas-d1": ("lemmas", ["grid.n=64"]),
+    "theorem1-d2": ("theorem1", ["grid.dim=2", "grid.n=32", "params.basepoints=3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TOO_SMALL))
+def test_a_smallest_cylinder_too_small_to_fit_is_a_config_error(case, tmp_path, monkeypatch,
+                                                                 capsys):
+    experiment, sets = _TOO_SMALL[case]
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"experiment": experiment}))
+
+    def overrides(*extra):
+        return [arg for item in sets + list(extra) for arg in ("--set", item)]
+
+    assert cli_main(["validate-config", "--config", str(cfg_file)]
+                    + overrides("regularity.r_min_factor=1")) == 2
+    assert "an affine fit needs" in capsys.readouterr().err
+    _no_sweep(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--seed", "5", "--output-dir", str(out)]
+                    + overrides("regularity.r_min_factor=1")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "an affine fit needs" in err
+    assert not out.exists()
+    # r_min_factor 2 gives the smallest ball 3 nodes in d = 1 and 9 in d = 2
+    assert cli_main(["validate-config", "--config", str(cfg_file)]
+                    + overrides("grid.n=64", "regularity.r_min_factor=2")) == 0
+
+
 @pytest.mark.parametrize("dotted,match", [
     ("grid.n=100", "power of two"),
     ("noise.alpha=0.4", "alpha"),
     ("regularity.r_min_factor=100", "empty radius set"),
+    ("regularity.r_min_factor=0", "at least 1"),
     ("nonlinearity.kappa=5", "kappa"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, monkeypatch, capsys, dotted, match):
@@ -513,7 +548,8 @@ def test_windowed_models_give_the_whole_field_basepoint_reports():
     """v_a keeps the rows of (t' - r_max^2, t'] and grad u is read on the same
     rows; the reports equal those on whole fields, also when the slab reaches
     t = 0 (the cylinders take zero-extension rows) or ends there."""
-    from quasiheat.harness import _model_rows, _solve
+    from quasiheat.harness import _model_rows
+    from quasiheat.solver import solve_anisotropic_batch
     from quasiheat.nonlinearity import freeze, sine_family
     from quasiheat.regularity import RegularityParams, modelling_remainder
     from quasiheat.grid import SpaceTimeField
@@ -525,15 +561,15 @@ def test_windowed_models_give_the_whole_field_basepoint_reports():
     A = sine_family(1, 0.5)
     reg = RegularityParams.for_grid(grid, alpha=0.75, r_min_factor=2)
     r_max = float(reg.radii[-1])
-    (u,) = _solve(path, A, [A])
+    (u,) = solve_anisotropic_batch(path, [A])
     times = u.gradient.times
     # r_max^2 is 16 snapshots: t' = times[16] puts the slab's open end at t = 0
     zs = [(float(times[10]), 0.25), (float(times[16]), 0.75), (float(times[200]), 0.5)]
     coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
     slabs = [_model_rows(u.gradient, z, r_max) for z in zs]
     assert slabs == [slice(0, 11), slice(1, 17), slice(185, 201)]
-    whole = _solve(path, A, coeffs)
-    windowed = _solve(path, A, coeffs, rows=slabs)
+    whole = solve_anisotropic_batch(path, coeffs)
+    windowed = solve_anisotropic_batch(path, coeffs, rows=slabs)
     for z, slab, va, wa in zip(zs, slabs, whole, windowed):
         assert wa.state is None and len(wa.gradient.times) == slab.stop - slab.start
         gu = SpaceTimeField(grid, times[slab], u.gradient.values[slab])

@@ -317,18 +317,17 @@ def test_flux_mismatch_zero_for_zero_shift():
 
 def sim_pair(n=128, kappa=0.5, seed=2):
     from quasiheat.noise import NoisePath, NoiseSpec
-    from quasiheat.solver import SolveConfig, solve_anisotropic_batch, solve_nonlinear
+    from quasiheat.solver import solve_anisotropic_batch, solve_nonlinear
     from quasiheat.nonlinearity import freeze
 
     grid = GridSpec.create(1, n)
     spec = NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=seed)
     path = NoisePath(spec, grid)
     A = sine_family(1, kappa)
-    cfg = SolveConfig(path=path, A=A)
-    u = solve_nonlinear(cfg)
+    u = solve_nonlinear(path, A)
     z = (float(u.state.times[-4]), 0.25)
     a = freeze(A, u.gradient_at(z))
-    va = solve_anisotropic_batch(cfg, [a])[0]
+    va = solve_anisotropic_batch(path, [a])[0]
     return grid, u, va, z
 
 

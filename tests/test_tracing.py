@@ -51,12 +51,11 @@ def test_each_public_solve_counts_one_sweep():
 
     grid = GridSpec.create(1, 16)
     path = NoisePath(NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=1), grid)
-    cfg = solver.SolveConfig(path=path, A=sine_family(1, 0.5))
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        solver.solve_nonlinear(cfg)
-        solver.solve_linear_constant(cfg)
+        solver.solve_nonlinear(path, sine_family(1, 0.5))
+        solver.solve_linear_constant(path)
     finally:
         tracer.remove()
     assert tracer.summary(1.0)["solver.sweeps"] == 2
