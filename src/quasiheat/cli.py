@@ -44,21 +44,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = p.add_subparsers(dest="command", required=True)
-    for name in tuple(EXPERIMENTS) + ("validate-config",):
-        sub = subs.add_parser(name)
-        _add_common(sub)
+    for name in EXPERIMENTS:
+        _add_common(subs.add_parser(name))
+    validate = subs.add_parser("validate-config")
+    _add_common(validate)
+    validate.add_argument("--experiment", choices=tuple(EXPERIMENTS), default=None,
+                          help="experiment to validate as (default: the config's, or noise-diag)")
     return p
 
 
 def _config_from_args(args, experiment: str) -> ExperimentConfig:
+    if experiment == "validate-config":
+        experiment = args.experiment
     if args.config:
-        cfg = ExperimentConfig.from_json_file(
-            args.config, None if experiment == "validate-config" else experiment
-        )
+        cfg = ExperimentConfig.from_json_file(args.config, experiment)
     else:
-        cfg = ExperimentConfig(
-            experiment=experiment if experiment != "validate-config" else "noise-diag"
-        )
+        cfg = ExperimentConfig(experiment=experiment or "noise-diag")
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")

@@ -17,6 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+# numpy >= 2: the gufuncs behind np.fft.rfft and irfft, called without their 7 us of checks
+_pfu = getattr(np.fft, "_pocketfft_umath", None)
+
 
 class GridError(ValueError):
     pass
@@ -390,14 +393,16 @@ class Spectral:
     def to_hat(self, phys: np.ndarray) -> np.ndarray:
         """``rfftn`` over the trailing d axes, as numpy computes it: the real
         transform of the last axis, then the complex one of the axis before."""
-        hat = np.fft.rfft(phys)
+        out = np.empty(phys.shape[:-1] + (self.grid.n // 2 + 1,), complex)
+        hat = _pfu.rfft_n_even(phys, 1, out=out) if _pfu else np.fft.rfft(phys)
         return hat if self.grid.dim == 1 else np.fft.fft(hat, axis=-2)
 
     def to_phys(self, hat: np.ndarray) -> np.ndarray:
         """``irfftn`` over the trailing d axes: the steps of ``to_hat`` reversed."""
         if self.grid.dim == 2:
             hat = np.fft.ifft(hat, axis=-2)
-        return np.fft.irfft(hat, n=self.grid.n)
+        out = np.empty(hat.shape[:-1] + (self.grid.n,))
+        return _pfu.irfft(hat, 1 / self.grid.n, out=out) if _pfu else np.fft.irfft(hat, n=self.grid.n)
 
     def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
         """Gradient with a trailing component axis, batched over any leading

@@ -7,8 +7,8 @@ time-step increment in [0, NOISE_END) = [0, 1) is an independent Gaussian
 field with mode variance dt*K_hat(k), and every later one is zero.
 Increments are never stored but regenerated from a counter-based stream
 keyed by (master_seed, step), so any step can be resampled bit-exactly in
-any order, and paths built from one spec agree bit for bit.  One path
-object is not thread-safe (see ``NoisePath``); give each thread its own.
+any order or block (``NoisePath.increments``), and paths built from one
+spec agree bit for bit.  A path object is not thread-safe: one per thread.
 The mode layout, the transforms and the half-spectrum folding belong to
 ``grid.Spectral``; this module owns no frequencies of its own.
 """
@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .grid import GridSpec, SpaceTimeField, Spectral
+from .grid import GridSpec, Spectral
 
 NOISE_END = 1.0  # the noise acts on 0 <= t < NOISE_END
+BATCH_MAX_POINTS = 1024  # rows up to this many points batch an interval's transforms
 
 
 class NoiseError(ValueError):
@@ -77,9 +78,9 @@ class NoisePath:
     substeps 1, 2, 4 then consume consistently coupled noise, which is what
     the time-refinement studies rely on.
 
-    Each key re-keys one cached ``Philox`` through its state setter (zero
-    counter, empty buffer): the bits of a fresh ``Philox(key=...)`` without
-    its construction cost.  So one path object is not thread-safe.
+    Each key re-keys one cached ``Philox`` by setting its fresh state (zero
+    counter, empty buffer) with the step as the key's second word: the bits
+    of a new ``Philox(key=...)`` without its cost.  So a path is not thread-safe.
     """
 
     spec: NoiseSpec
@@ -88,6 +89,7 @@ class NoisePath:
     _amp: np.ndarray = field(default=None, repr=False, compare=False)
     _scaled_amp: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _gen: Generator = field(default=None, init=False, repr=False, compare=False)
+    _state: dict = field(default=None, init=False, repr=False, compare=False)
     _spectral: Spectral = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,7 +100,8 @@ class NoisePath:
         scale = np.sqrt(grid.dt / self.substeps) * grid.n ** (grid.dim / 2.0)
         object.__setattr__(self, "_amp", amp)
         object.__setattr__(self, "_scaled_amp", scale * amp)
-        object.__setattr__(self, "_gen", Generator(Philox(key=0)))
+        object.__setattr__(self, "_gen", Generator(Philox(key=self.spec.master_seed)))
+        object.__setattr__(self, "_state", self._gen.bit_generator.state)
         object.__setattr__(self, "_spectral", Spectral(grid))
 
     @property
@@ -108,29 +111,31 @@ class NoisePath:
     def _active(self, step: int) -> bool:
         return step * self.grid.dt < NOISE_END - 1e-12
 
+    @property
+    def block_steps(self) -> int:
+        """Steps per ``increments`` call: a snapshot interval or, for large rows, one."""
+        return self.grid.snap_stride if self.grid.n ** self.grid.dim <= BATCH_MAX_POINTS else 1
+
+    def increments(self, start: int, stop: int) -> np.ndarray:
+        """Increments of steps start..stop-1, a row each and bitwise its ``increment_hat``:
+        each step keeps its own keys, and the block's normals take one transform."""
+        out = np.zeros((stop - start,) + self._amp.shape, dtype=complex)
+        live = out[:sum(map(self._active, range(start, stop)))]  # zero from NOISE_END on
+        if len(live) == 0 or self.spec.sigma == 0.0:
+            return out
+        z = np.empty((len(live), self.substeps) + self.grid.shape)
+        for r, row in enumerate(z.reshape((-1,) + self.grid.shape)):
+            self._state["state"]["key"][1] = self.substeps * start + r
+            self._gen.bit_generator.state = self._state
+            self._gen.standard_normal(out=row)
+        for hat in self._spectral.to_hat(z).swapaxes(0, 1):  # the substeps, in order
+            live += hat
+        np.multiply(self._scaled_amp, live, out=live)
+        return out
+
     def increment_hat(self, step: int) -> np.ndarray:
         """Half-spectrum of the step's increment (zero from t = NOISE_END on)."""
-        grid = self.grid
-        shape = self._amp.shape
-        if not self._active(step) or self.spec.sigma == 0.0:
-            return np.zeros(shape, dtype=complex)
-        out = np.zeros(shape, dtype=complex)
-        base = self.substeps * step
-        for i in range(self.substeps):
-            key = np.array([self.spec.master_seed, base + i], dtype=np.uint64)
-            self._gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
-            out += self._spectral.to_hat(self._gen.standard_normal(grid.shape))
-        return self._scaled_amp * out
-
-    def sample_increment(self, step: int) -> SpaceTimeField:
-        """The step's increment as a single-snapshot physical field."""
-        vals = self._spectral.to_phys(self.increment_hat(step))
-        return SpaceTimeField(self.grid, np.array([step * self.grid.dt]), vals[None])
+        return self.increments(step, step + 1)[0]
 
     def digest(self, steps) -> str:
         """Hash of regenerated increments; equal hashes certify a shared path."""
@@ -194,8 +199,9 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     white_acc = 0.0
     imag_max = 0.0
     prev = None
-    for i in range(n_samples):
-        hat = path.increment_hat(i)
+    hats = (hat for s in range(0, n_samples, path.block_steps)  # drawn in blocks
+            for hat in path.increments(s, min(s + path.block_steps, n_samples)))
+    for i, hat in enumerate(hats):
         f = sp.to_phys(hat) * inv_sqrt_dt
         # realness residue measured on the explicitly mirrored full spectrum
         if i < 8:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from quasiheat.cli import _config_from_args, build_parser
@@ -576,3 +577,82 @@ def test_windowed_models_give_the_whole_field_basepoint_reports():
         got = modelling_remainder(gu, wa.gradient, z, reg, with_increment_constant=True)
         want = modelling_remainder(u.gradient, va.gradient, z, reg, with_increment_constant=True)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_validate_config_takes_an_experiment(tmp_path, monkeypatch, capsys):
+    # n=16 leaves no shift scale r <= 1/8, which lemmas needs and noise-diag does not
+    assert cli_main(["validate-config", "--set", "grid.n=16"]) == 0
+    capsys.readouterr()
+    assert cli_main(["validate-config", "--experiment", "lemmas", "--set", "grid.n=16"]) == 2
+    assert "r <= 1/8" in capsys.readouterr().err
+    _no_sweep(monkeypatch)
+    assert cli_main(["lemmas", "--seed", "1", "--set", "grid.n=16",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    cfg_file = tmp_path / "n.json"
+    cfg_file.write_text(json.dumps({"experiment": "noise-diag", "grid": {"n": 16}}))
+    assert cli_main(["validate-config", "--config", str(cfg_file)]) == 0
+    assert cli_main(["validate-config", "--config", str(cfg_file), "--experiment", "lemmas"]) == 2
+
+
+# ---- theorem1 seed groups: one sweep per group, the bytes of one sweep per seed
+
+
+def _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes=None):
+    """Run the tiny two-seed theorem1; return its artifact bytes by name and
+    the number of sweeps it made."""
+    import shutil
+
+    import quasiheat.harness as harness
+
+    if group_bytes is not None:
+        monkeypatch.setattr(harness, "GROUP_SNAPSHOT_BYTES", group_bytes)
+    sweeps = []
+    inner = harness.solve_anisotropic_batch
+    monkeypatch.setattr(harness, "solve_anisotropic_batch",
+                        lambda *a, **k: sweeps.append(1) or inner(*a, **k))
+    cfg = ExperimentConfig.from_dict(dict(_TINY["theorem1"], experiment="theorem1", seeds=[1, 2],
+                                          output_dir=str(tmp_path / "out")))
+    run_experiment(cfg)
+    out = tmp_path / "out" / cfg.config_hash
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
+    shutil.rmtree(out)
+    monkeypatch.undo()
+    return files, len(sweeps)
+
+
+def test_theorem1_seed_groups_write_the_artifacts_of_single_seeds(tmp_path, monkeypatch):
+    grouped, n_grouped = _theorem1_two_seeds(tmp_path, monkeypatch)
+    single, n_single = _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes=1)
+    assert (n_grouped, n_single) == (2, 4)
+    assert grouped == single
+    assert "report.json" in grouped and "modelling_report.json" in grouped
+
+
+def test_a_diverging_seed_in_a_group_gives_its_own_error(tmp_path, monkeypatch):
+    from quasiheat.noise import NoisePath
+    from quasiheat.solver import SolverDivergenceError
+
+    grid = GridSpec.create(1, 64)
+    s = 2 * grid.snap_stride + 5
+    inner = NoisePath.increments
+
+    def poisoned(self, start, stop):
+        dw = inner(self, start, stop)
+        if self.spec.master_seed == 2 and start <= s < stop:
+            dw[s - start, 3] = np.nan
+        return dw
+
+    def run(group_bytes=None):
+        monkeypatch.setattr(NoisePath, "increments", poisoned)
+        return _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes)
+
+    grouped, n_grouped = run()
+    single, n_single = run(group_bytes=1)
+    # the group sweep, each seed alone, then seed 1's models; or 2 + 1 alone
+    assert (n_grouped, n_single) == (4, 3)
+    assert grouped == single
+    check = next(c for c in json.loads(grouped["report.json"])["checks"]
+                 if c["name"] == "solver_completed")
+    error = str(SolverDivergenceError(3 * grid.snap_stride - 1))
+    assert json.loads(check["detail"]) == [{"seed": 2, "error": error}]
+    assert not check["passed"]

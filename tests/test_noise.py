@@ -68,8 +68,7 @@ def test_spec_validation():
 
 def test_zero_amplitude_gives_zero_field():
     grid, path = make_path(sigma=0.0)
-    f = path.sample_increment(5)
-    assert np.all(f.values == 0.0)
+    assert np.all(Spectral(grid).to_phys(path.increment_hat(5)) == 0.0)
 
 
 def test_increment_outside_time_support_is_zero():
@@ -159,3 +158,32 @@ def test_diagnostics_requires_enough_samples():
     grid, path = make_path()
     with pytest.raises(NoiseError):
         covariance_diagnostics(path, 100)
+
+
+# ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,n,substeps,sigma", [
+    (1, 64, 1, 1.0), (1, 32, 2, 1.0), (1, 32, 3, 1.0),
+    (2, 16, 1, 1.0), (2, 16, 3, 1.0), (1, 32, 1, 0.0), (2, 16, 2, 0.0),
+])
+def test_block_rows_are_the_bytes_of_increment_hat(dim, n, substeps, sigma):
+    grid = GridSpec.create(dim, n, t_end=1.25)
+    spec = NoiseSpec(alpha=0.75, dim=dim, sigma=sigma, master_seed=4)
+    path = NoisePath(spec, grid, substeps=substeps)
+    end = int(round(1.0 / grid.dt))  # the first step with t >= 1
+    # aligned, unaligned, straddling t = 1, past it, and a block of one
+    for start, stop in [(0, 64), (5, 70), (end - 10, end + 30), (end + 3, end + 9), (7, 8)]:
+        block = path.increments(start, stop)
+        assert block.shape == (stop - start,) + path.amplitudes.shape
+        for row, step in zip(block, range(start, stop)):
+            assert row.tobytes() == path.increment_hat(step).tobytes()
+    assert np.any(path.increments(end - 1, end + 1)[0]) == (sigma > 0)
+    assert not np.any(path.increments(end - 1, end + 1)[1])
+
+
+def test_block_steps_batch_small_rows_only():
+    assert make_path(n=256)[1].block_steps == GridSpec.create(1, 256).snap_stride
+    assert make_path(n=16, dim=2)[1].block_steps == GridSpec.create(2, 16).snap_stride
+    assert make_path(n=64, dim=2)[1].block_steps == 1
