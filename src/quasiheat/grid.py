@@ -17,8 +17,25 @@ from typing import Optional
 
 import numpy as np
 
-# numpy >= 2: the gufuncs behind np.fft.rfft and irfft, called without their 7 us of checks
-_pfu = getattr(np.fft, "_pocketfft_umath", None)
+
+def _direct_transforms():
+    """The gufuncs behind ``np.fft.rfft`` and ``irfft`` (numpy >= 2), called
+    without their 7 us of argument checks, if they exist, take today's
+    arguments and give ``np.fft``'s bits on a probe; else (None, None)."""
+    try:
+        from numpy.fft import _pocketfft_umath as pfu
+
+        x = np.cos(np.arange(16.0) ** 1.5).reshape(2, 8)
+        h = pfu.rfft_n_even(x, 1, out=np.empty((2, 5), complex))
+        y = pfu.irfft(h, 1 / 8, out=np.empty((2, 8)))
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None, None
+    if h.tobytes() != np.fft.rfft(x).tobytes() or y.tobytes() != np.fft.irfft(h).tobytes():
+        return None, None
+    return pfu.rfft_n_even, pfu.irfft
+
+
+_RFFT, _IRFFT = _direct_transforms()  # grid sizes are powers of two, so n is even
 
 
 class GridError(ValueError):
@@ -393,16 +410,19 @@ class Spectral:
     def to_hat(self, phys: np.ndarray) -> np.ndarray:
         """``rfftn`` over the trailing d axes, as numpy computes it: the real
         transform of the last axis, then the complex one of the axis before."""
-        out = np.empty(phys.shape[:-1] + (self.grid.n // 2 + 1,), complex)
-        hat = _pfu.rfft_n_even(phys, 1, out=out) if _pfu else np.fft.rfft(phys)
+        if _RFFT is None:
+            hat = np.fft.rfft(phys)
+        else:
+            hat = _RFFT(phys, 1, out=np.empty(phys.shape[:-1] + (self.grid.n // 2 + 1,), complex))
         return hat if self.grid.dim == 1 else np.fft.fft(hat, axis=-2)
 
     def to_phys(self, hat: np.ndarray) -> np.ndarray:
         """``irfftn`` over the trailing d axes: the steps of ``to_hat`` reversed."""
         if self.grid.dim == 2:
             hat = np.fft.ifft(hat, axis=-2)
-        out = np.empty(hat.shape[:-1] + (self.grid.n,))
-        return _pfu.irfft(hat, 1 / self.grid.n, out=out) if _pfu else np.fft.irfft(hat, n=self.grid.n)
+        if _IRFFT is None:
+            return np.fft.irfft(hat, n=self.grid.n)
+        return _IRFFT(hat, 1 / self.grid.n, out=np.empty(hat.shape[:-1] + (self.grid.n,)))
 
     def gradient_phys(self, hat: np.ndarray) -> np.ndarray:
         """Gradient with a trailing component axis, batched over any leading

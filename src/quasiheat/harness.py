@@ -358,6 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             f"experiment {cfg.experiment!r} samples randomness: provide --seed or config seeds"
         )
     grid = cfg.build_grid()
+    for seed in cfg.seeds:  # an invalid seed is a config error before any output
+        cfg.build_noise_spec(seed)
     report = RunReport(cfg.experiment, cfg.config_hash, cfg.parameter_block())
     out = Path(cfg.output_dir) / cfg.config_hash
     EXPERIMENTS[cfg.experiment].body(_Run(cfg, grid, [int(s) for s in cfg.seeds], report, out))
@@ -373,20 +375,6 @@ def _model_rows(grad: SpaceTimeField, z, r_max: float) -> slice:
     """The snapshot rows of (t' - r_max^2, t'], which hold every cylinder of z
     of radius <= r_max."""
     return cylinder_window(grad, ParabolicCylinder(t=z[0], x=z[1], r=r_max)).slab
-
-
-GROUP_SNAPSHOT_BYTES = 256 * 2**20  # most bytes of u, v gradients a theorem1 seed group holds
-
-
-def _solve_uv(paths: list, A: Nonlinearity) -> list:
-    """u and v of each path of a seed group, or its divergence (then each path re-swept alone)."""
-    try:
-        return solve_anisotropic_batch(paths, [[_model_member(A), None]] * len(paths),
-                                       [[slice(None)] * 2] * len(paths))
-    except SolverDivergenceError as exc:
-        if len(paths) == 1:
-            return [exc]
-    return [_solve_uv([path], A)[0] for path in paths]
 
 
 def _model_member(A: Nonlinearity):
@@ -466,37 +454,37 @@ def _theorem1(run: _Run) -> None:
     path_digests = {}
     errors = []
 
-    per_seed = 16 * grid.dim * grid.n ** grid.dim * len(grid.snapshot_times())  # u and v
-    size = max(1, GROUP_SNAPSHOT_BYTES // per_seed)
-    for group in (run.seeds[i:i + size] for i in range(0, len(run.seeds), size)):
-        paths = [cfg.build_noise_path(grid, seed) for seed in group]
-        models = []  # (seed, path, u, basepoints, their slabs) of each solved seed
-        for seed, path, uv in zip(group, paths, _solve_uv(paths, A)):
-            # certifies that every solver of this seed shared its increments bitwise
-            path_digests[str(seed)] = path.digest(range(0, grid.n_steps, max(1, grid.n_steps // 16)))
-            if isinstance(uv, SolverDivergenceError):
-                errors.append({"seed": seed, "error": str(uv)})
-                continue
-            u, v = uv
-            seminorms[str(seed)] = {
-                "grad_v": holder_seminorm(v.gradient, alpha, pair_budget=reg.pair_budget),
-                "grad_u": holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget),
-            }
-            zs = draw_basepoints(
-                grid, u.gradient.times, int(p["basepoints"]), seed,
-                t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, NOISE_END),
+    for seed in run.seeds:
+        path = cfg.build_noise_path(grid, seed)
+        # every solver below consumes this path; the digest certifies that
+        # regenerated increments are shared bit-identically
+        path_digests[str(seed)] = path.digest(
+            range(0, grid.n_steps, max(1, grid.n_steps // 16))
+        )
+        try:
+            # nothing reads the states, and u, v are read at every snapshot
+            u, v = solve_anisotropic_batch(path, [_model_member(A), None], rows=[slice(None)] * 2)
+        except SolverDivergenceError as exc:
+            errors.append({"seed": seed, "error": str(exc)})
+            continue
+
+        seminorms[str(seed)] = {
+            "grad_v": holder_seminorm(v.gradient, alpha, pair_budget=reg.pair_budget),
+            "grad_u": holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget),
+        }
+        zs = draw_basepoints(
+            grid, u.gradient.times, int(p["basepoints"]), seed,
+            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, NOISE_END),
+        )
+        coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
+        slabs = [_model_rows(u.gradient, z, reg.radii[-1]) for z in zs]
+        for z, slab, va in zip(zs, slabs, solve_anisotropic_batch(path, coeffs, rows=slabs)):
+            gu = SpaceTimeField(grid, u.gradient.times[slab], u.gradient.values[slab])
+            rep = modelling_remainder(
+                gu, va.gradient, z, reg,
+                with_increment_constant=bool(p["companion_increment_constant"]),
             )
-            models.append((seed, path, u, zs, [_model_rows(u.gradient, z, reg.radii[-1]) for z in zs]))
-        vas = solve_anisotropic_batch([path for _, path, *_ in models],
-                                      [[freeze(A, u.gradient_at(z)) for z in zs]
-                                       for _, _, u, zs, _ in models],
-                                      [slabs for *_, slabs in models]) if models else []
-        for (seed, _, u, zs, slabs), va_list in zip(models, vas):
-            for z, slab, va in zip(zs, slabs, va_list):
-                gu = SpaceTimeField(grid, u.gradient.times[slab], u.gradient.values[slab])
-                mreport.add(seed, modelling_remainder(
-                    gu, va.gradient, z, reg,
-                    with_increment_constant=bool(p["companion_increment_constant"])))
+            mreport.add(seed, rep)
 
     # --- checks -----------------------------------------------------------
     slope_floor = 2 * alpha - p["slope_margin"]
@@ -878,7 +866,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     grid = cfg.build_grid()
     A = cfg.build_nonlinearity()
     cert = validate(A)
-    spec = cfg.build_noise_spec(cfg.seeds[0] if cfg.seeds else 0)
+    spec = [cfg.build_noise_spec(seed) for seed in cfg.seeds or [0]][0]
     reg = cfg.build_regularity(grid)
     return {
         "config_hash": cfg.config_hash,

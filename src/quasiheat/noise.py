@@ -49,6 +49,8 @@ class NoiseSpec:
             raise NoiseError("dim must be 1 or 2")
         if self.sigma < 0:
             raise NoiseError("sigma must be nonnegative")
+        if not 0 <= self.master_seed < 2**64:
+            raise NoiseError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not (self.dim < self.s < self.dim + 2):
             raise NoiseError("spectral exponent out of admissible range")
 

@@ -33,8 +33,8 @@ the heat model); it keeps state and gradient at every snapshot, or only its
 gradient on given rows, such as the slab a frozen model's cylinders read.
 ``solve_nonlinear`` and ``solve_linear_constant`` are batches of one.  Every
 member's update is elementwise in Fourier space, so it is bitwise the same
-whether it is advanced alone or beside others, of any seed.  The wavenumbers,
-the symbols mu_k and the transforms come from ``grid.Spectral``.
+whether it is advanced alone or beside others.  The wavenumbers, the
+symbols mu_k and the transforms come from ``grid.Spectral``.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def _coeff_matrix(a) -> Optional[np.ndarray]:
 
 
 def solve_anisotropic_batch(
-    path: Union[NoisePath, Sequence[NoisePath]],
-    members: Sequence,
-    rows: Optional[Sequence] = None,
-) -> list:
+    path: NoisePath,
+    members: Sequence[Union[Nonlinearity, FrozenCoefficient, np.ndarray, None]],
+    rows: Optional[Sequence[Optional[slice]]] = None,
+) -> List[Trajectory]:
     """One sweep over the steps advancing every member from rest on ``path``.
 
     A member is a flux ``Nonlinearity`` (at most one), a constant coefficient
@@ -97,45 +97,34 @@ def solve_anisotropic_batch(
     every snapshot; a slice of snapshot rows keeps only its gradient there.
     The sweep stops after the last kept row, and every member is checked for
     finiteness at every snapshot, kept or not.
-    A seed group (paths on one grid, a member list and ``rows`` per path, one
-    flux member on each or on none) gives per path the trajectories of its own sweep.
     """
-    if isinstance(path, NoisePath):
-        return _sweep([path], [members], [rows])[0]
-    return _sweep(path, members, rows or [None] * len(path))
+    return _sweep(path, members, rows)
 
 
-def _sweep(paths, groups, group_rows) -> List[List[Trajectory]]:
+def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
     """The engine of the three public solves; each calls it once, so tracing
-    their names counts one sweep per call.  Members are flattened path by path."""
-    members = [m for g in groups for m in g]
-    owner = [p for p, g in enumerate(groups) for _ in g]
-    rows = [r for g, rs in zip(groups, group_rows) for r in rs or [None] * len(g)]
-    if not members:
-        return [[] for _ in paths]
-    grid = paths[0].grid
-    if any(p.grid != grid for p in paths) or len(groups) != len(paths):
-        raise SolverError("a seed group needs one member list per path, all on one grid")
+    their names counts one sweep per call."""
+    grid = path.grid
     dt = grid.dt
     cfl = dt / (grid.dx * grid.dx)
     if cfl > 0.25 + 1e-12:
         raise SolverError(f"cfl = {cfl} exceeds 1/4")
+    if len(members) == 0:
+        return []
     flux = [i for i, m in enumerate(members) if isinstance(m, Nonlinearity)]
+    if len(flux) > 1:
+        raise SolverError("a sweep advances at most one flux member")
     A = members[flux[0]] if flux else None
-    if flux and [owner[i] for i in flux] != list(range(len(paths))) or any(
-            members[i] is not A for i in flux):
-        raise SolverError("a sweep advances one flux member on every path, or none")
     if A is not None:
         if A.dim != grid.dim:
             raise SolverError("nonlinearity dimension does not match the grid")
         validate(A)
     sp = Spectral(grid)
     linear = [i for i in range(len(members)) if i not in flux]
-    slot = {i: k for k, i in enumerate(flux)} | {i: k for k, i in enumerate(linear)}  # its row
-    ends = np.searchsorted([owner[i] for i in linear], range(len(paths) + 1))
-    lnoise = [(p, slice(a, b)) for p, (a, b) in enumerate(zip(ends, ends[1:])) if b > a]
+    slot = {i: k for k, i in enumerate(linear)}  # member -> row of the linear stack
 
     times = grid.snapshot_times()
+    rows = [None] * len(members) if rows is None else rows
     spans = [range(len(times))[r or slice(None)] for r in rows]
     if len(spans) != len(members) or any(s.step != 1 or not s for s in spans):
         raise SolverError("rows must give each member None or a nonempty run of snapshot rows")
@@ -147,8 +136,8 @@ def _sweep(paths, groups, group_rows) -> List[List[Trajectory]]:
         decay = np.stack([np.exp(-sp.symbol(_coeff_matrix(members[i])) * dt)
                           for i in linear]).astype(complex)
 
-    h0 = sp.to_hat(np.zeros(grid.shape))[None]
-    uh, vh = (np.repeat(h0, len(stack), axis=0) for stack in (flux, linear))
+    uh = h0 = sp.to_hat(np.zeros(grid.shape))
+    vh = np.repeat(h0[None], len(linear), axis=0)
 
     states = [np.empty((len(s),) + grid.shape) if r is None else None for r, s in zip(rows, spans)]
     grads = [np.empty((len(s),) + grid.shape + (grid.dim,)) for s in spans]
@@ -156,43 +145,41 @@ def _sweep(paths, groups, group_rows) -> List[List[Trajectory]]:
     def snapshot(row: int) -> None:
         for i, (span, state, grad) in enumerate(zip(spans, states, grads)):
             if row in span:
-                hat = (uh if i in flux else vh)[slot[i]]
+                hat = vh[slot[i]] if i in slot else uh
                 if state is not None:
                     state[row] = sp.to_phys(hat)
                 grad[row - span.start] = sp.gradient_phys(hat)
 
     snapshot(0)
-    block = paths[0].block_steps
+    block = path.block_steps
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        blocks = [p.increments(start, stop) for p in paths]
-        dws = blocks[0][:, None] if len(paths) == 1 else np.stack(blocks, axis=1)
-        for dw in dws:
+        for dw in path.increments(start, stop):
             if flux:
                 g = sp.gradient_phys(uh)
                 nh = sp.divergence_hat(A.ev(g) - g)
                 uh = decay0 * (uh + dt * nh) + dw
             if linear:
                 np.multiply(decay, vh, out=vh)
-                for p, run in lnoise:
-                    vh[run] += dw[p]
+                vh += dw
         if stop % grid.snap_stride == 0:
-            if not (np.all(np.isfinite(vh)) and np.all(np.isfinite(uh))):
+            if not (np.all(np.isfinite(vh)) and (not flux or np.all(np.isfinite(uh)))):
                 raise SolverDivergenceError(stop - 1)
             snapshot(stop // grid.snap_stride)
 
-    trajs = iter(Trajectory(None if state is None else SpaceTimeField(grid, times, state),
-                            SpaceTimeField(grid, times[span.start:span.stop], grad))
-                 for span, state, grad in zip(spans, states, grads))
-    return [[next(trajs) for _ in g] for g in groups]
+    return [
+        Trajectory(None if state is None else SpaceTimeField(grid, times, state),
+                   SpaceTimeField(grid, times[span.start:span.stop], grad))
+        for span, state, grad in zip(spans, states, grads)
+    ]
 
 
 def solve_nonlinear(path: NoisePath, A: Nonlinearity) -> Trajectory:
     """Advance the quasilinear equation with flux ``A`` from rest on ``path``."""
-    return _sweep([path], [[A]], [None])[0][0]
+    return _sweep(path, [A], None)[0]
 
 
 def solve_linear_constant(path: NoisePath, a=None) -> Trajectory:
     """Exact-exponential (per-mode OU) solve of the constant-coefficient
     equation from rest on ``path``; ``a=None`` gives the plain heat model."""
-    return _sweep([path], [[a]], [None])[0][0]
+    return _sweep(path, [a], None)[0]

@@ -594,41 +594,20 @@ def test_validate_config_takes_an_experiment(tmp_path, monkeypatch, capsys):
     assert cli_main(["validate-config", "--config", str(cfg_file), "--experiment", "lemmas"]) == 2
 
 
-# ---- theorem1 seed groups: one sweep per group, the bytes of one sweep per seed
+
+def test_seed_outside_the_philox_key_word_is_a_config_error(tmp_path, capsys):
+    # a seed is one 64-bit key word; 2**64 + s must not silently draw seed s's noise
+    out = tmp_path / "out"
+    for seed in (str(2**64), "-1"):
+        assert cli_main(["noise-diag", "--seed", "1", "--seed", seed,
+                         "--output-dir", str(out)]) == 2
+        assert cli_main(["validate-config", "--seed", seed]) == 2
+        assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+    assert cli_main(["validate-config", "--seed", str(2**64 - 1)]) == 0
 
 
-def _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes=None):
-    """Run the tiny two-seed theorem1; return its artifact bytes by name and
-    the number of sweeps it made."""
-    import shutil
-
-    import quasiheat.harness as harness
-
-    if group_bytes is not None:
-        monkeypatch.setattr(harness, "GROUP_SNAPSHOT_BYTES", group_bytes)
-    sweeps = []
-    inner = harness.solve_anisotropic_batch
-    monkeypatch.setattr(harness, "solve_anisotropic_batch",
-                        lambda *a, **k: sweeps.append(1) or inner(*a, **k))
-    cfg = ExperimentConfig.from_dict(dict(_TINY["theorem1"], experiment="theorem1", seeds=[1, 2],
-                                          output_dir=str(tmp_path / "out")))
-    run_experiment(cfg)
-    out = tmp_path / "out" / cfg.config_hash
-    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
-    shutil.rmtree(out)
-    monkeypatch.undo()
-    return files, len(sweeps)
-
-
-def test_theorem1_seed_groups_write_the_artifacts_of_single_seeds(tmp_path, monkeypatch):
-    grouped, n_grouped = _theorem1_two_seeds(tmp_path, monkeypatch)
-    single, n_single = _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes=1)
-    assert (n_grouped, n_single) == (2, 4)
-    assert grouped == single
-    assert "report.json" in grouped and "modelling_report.json" in grouped
-
-
-def test_a_diverging_seed_in_a_group_gives_its_own_error(tmp_path, monkeypatch):
+def test_a_diverging_seed_gives_its_own_error(tmp_path, monkeypatch):
     from quasiheat.noise import NoisePath
     from quasiheat.solver import SolverDivergenceError
 
@@ -642,17 +621,20 @@ def test_a_diverging_seed_in_a_group_gives_its_own_error(tmp_path, monkeypatch):
             dw[s - start, 3] = np.nan
         return dw
 
-    def run(group_bytes=None):
-        monkeypatch.setattr(NoisePath, "increments", poisoned)
-        return _theorem1_two_seeds(tmp_path, monkeypatch, group_bytes)
+    def run(seeds, poison):
+        if poison:
+            monkeypatch.setattr(NoisePath, "increments", poisoned)
+        cfg = ExperimentConfig.from_dict(dict(_TINY["theorem1"], experiment="theorem1",
+                                              seeds=seeds, output_dir=str(tmp_path / "out")))
+        run_experiment(cfg)
+        monkeypatch.undo()
+        return json.loads((tmp_path / "out" / cfg.config_hash / "report.json").read_text())
 
-    grouped, n_grouped = run()
-    single, n_single = run(group_bytes=1)
-    # the group sweep, each seed alone, then seed 1's models; or 2 + 1 alone
-    assert (n_grouped, n_single) == (4, 3)
-    assert grouped == single
-    check = next(c for c in json.loads(grouped["report.json"])["checks"]
-                 if c["name"] == "solver_completed")
+    clean = run([1], poison=False)
+    report = run([1, 2], poison=True)
+    check = next(c for c in report["checks"] if c["name"] == "solver_completed")
     error = str(SolverDivergenceError(3 * grid.snap_stride - 1))
     assert json.loads(check["detail"]) == [{"seed": 2, "error": error}]
     assert not check["passed"]
+    # seed 1's results are those of a run without seed 2
+    assert report["metrics"]["seminorms"]["1"] == clean["metrics"]["seminorms"]["1"]

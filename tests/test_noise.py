@@ -62,6 +62,15 @@ def test_spec_validation():
         NoiseSpec(alpha=0.75, dim=1, sigma=-1.0)
 
 
+def test_master_seed_is_one_64_bit_key_word():
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(NoiseError, match="master_seed"):
+            NoiseSpec(alpha=0.75, dim=1, master_seed=seed)
+    grid = GridSpec.create(1, 32)
+    top = NoisePath(NoiseSpec(alpha=0.75, dim=1, master_seed=2**64 - 1), grid)
+    assert top.increment_hat(3).tobytes() != make_path(n=32, seed=0)[1].increment_hat(3).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # increments
 # ---------------------------------------------------------------------------

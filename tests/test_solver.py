@@ -325,57 +325,3 @@ def test_non_finite_initial_state_raises_at_the_first_snapshot_kept_or_not(rows,
         solve_anisotropic_batch(path, [np.array([[0.6]])], [slice(4, 6)])
     assert exc.value.step == 3 * stride - 1
 
-
-# ---- seed groups: several paths on one grid in one sweep
-
-
-def _group(dim):
-    n = 16 if dim == 2 else 32
-    grid = GridSpec.create(dim, n)
-    paths = [NoisePath(NoiseSpec(alpha=0.75, dim=dim, master_seed=seed), grid) for seed in (5, 6, 7)]
-    coeffs = ([np.array([[0.9, 0.05], [0.05, 0.8]]), np.array([[0.7, -0.1], [-0.1, 0.95]])]
-              if dim == 2 else [np.array([[0.85]]), np.array([[0.45]])])
-    return grid, paths, sine_family(dim, 0.5), coeffs
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("layout", ["every_path_a_flux", "flux_and_linear", "linear_only"])
-def test_grouped_sweep_is_bitwise_the_per_seed_sweeps(dim, layout):
-    grid, paths, A, (a1, a2) = _group(dim)
-    n_snap = len(grid.snapshot_times())
-    if layout == "every_path_a_flux":
-        members = [[A, None]] * 3
-        rows = [[slice(None)] * 2] * 3
-    elif layout == "flux_and_linear":
-        members = [[A, None, a1], [a2, A], [A]]
-        rows = [[None, slice(2, 5), slice(0, 3)], None, [slice(n_snap - 4, n_snap - 1)]]
-    else:
-        members = [[a1, a2, None], [a2], [None, a1]]
-        rows = [[slice(2, 5), None, slice(0, 3)], None, [slice(n_snap - 4, n_snap - 1), None]]
-    grouped = solve_anisotropic_batch(paths, members, rows)
-    assert len(grouped) == 3
-    for path, m, r, trajs in zip(paths, members, rows, grouped):
-        for got, solo in zip(trajs, solve_anisotropic_batch(path, m, r)):
-            assert (got.state is None) == (solo.state is None)
-            if solo.state is not None:
-                assert _bits_equal(got.state.values, solo.state.values)
-            assert _bits_equal(got.gradient.values, solo.gradient.values)
-            assert _bits_equal(got.gradient.times, solo.gradient.times)
-
-
-def test_grouped_sweep_fetches_each_path_once_per_step(monkeypatch):
-    grid, paths, A, (a1, _) = _group(1)
-    calls = _counting_increments(monkeypatch)
-    solve_anisotropic_batch(paths, [[A], [a1, A], [A, a1]], [[slice(0, 3)], None, [slice(1, 2)] * 2])
-    assert calls == [s for block in range(0, grid.n_steps, grid.snap_stride)
-                     for _ in paths for s in range(block, block + grid.snap_stride)]
-
-
-def test_group_rejects_two_fluxes_a_path_without_one_and_two_grids():
-    grid, paths, A, (a1, _) = _group(1)
-    with pytest.raises(SolverError):
-        solve_anisotropic_batch(paths[:2], [[A], [sine_family(1, 0.5)]])
-    with pytest.raises(SolverError):
-        solve_anisotropic_batch(paths[:2], [[A], [a1]])
-    with pytest.raises(SolverError):
-        solve_anisotropic_batch(paths[:1] + [setup(n=64)[1]], [[None], [None]])
