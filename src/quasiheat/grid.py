@@ -19,9 +19,9 @@ import numpy as np
 
 
 def _direct_transforms():
-    """The gufuncs behind ``np.fft.rfft`` and ``irfft`` (numpy >= 2), called
-    without their 7 us of argument checks, if they exist, take today's
-    arguments and give ``np.fft``'s bits on a probe; else (None, None)."""
+    """The gufuncs behind ``np.fft.rfft`` and ``irfft`` (numpy >= 2), to be
+    called without their 7 us of argument checks: kept if they exist, take the
+    arguments ``np.fft`` passes and give its bits on a probe; else (None, None)."""
     try:
         from numpy.fft import _pocketfft_umath as pfu
 
