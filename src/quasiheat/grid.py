@@ -170,11 +170,10 @@ class SpaceTimeField:
     def is_scalar(self) -> bool:
         return self.component_shape == ()
 
-    def time_index(self, t: float, tol: float = None) -> int:
-        """Index of the snapshot nearest to t; error if none is close."""
+    def time_index(self, t: float) -> int:
+        """Index of the snapshot nearest to t; error if none is within half a cadence."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        tol = 0.5 * self.grid.snap_dt if tol is None else tol
-        if abs(self.times[idx] - t) > tol + 1e-14:
+        if abs(self.times[idx] - t) > 0.5 * self.grid.snap_dt + 1e-14:
             raise GridError(f"no snapshot near t={t}")
         return idx
 
@@ -264,11 +263,6 @@ class CylinderSamples:
     times: np.ndarray
     xrel: np.ndarray
     values: np.ndarray
-    basepoint_node: int
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0] * self.values.shape[1]
 
     def flat(self) -> tuple:
         """(xrel, values) with time and node axes merged."""
@@ -280,7 +274,8 @@ class CylinderSamples:
 
 @dataclass(frozen=True)
 class CylinderWindow:
-    """Where a parabolic cylinder sits in a field's snapshot array.
+    """Where a parabolic cylinder sits in a field's snapshot array: built once
+    per cylinder, it samples any field on those snapshots at any lattice shift.
 
     ``slab`` selects the snapshots in (t'-r^2, t'].  ``box`` holds the
     torus-wrapped node indices of the bounding box per axis and ``inball``
@@ -289,7 +284,7 @@ class CylinderWindow:
     the slab's times preceded by ``n_below`` zero-extension times below t = 0.
     """
 
-    n: int
+    grid: GridSpec
     slab: slice
     times: np.ndarray
     n_below: int
@@ -297,22 +292,23 @@ class CylinderWindow:
     inball: np.ndarray
     nodes: tuple
     xrel: np.ndarray
-    basepoint_node: int
 
     def take_box(self, values: np.ndarray) -> np.ndarray:
         """Slab rows of the bounding box, shape (Ts, W[, W], *components)."""
         return values[self.slab][(slice(None),) + np.ix_(*self.box)]
 
-    def samples(self, values: np.ndarray, steps=None) -> CylinderSamples:
-        """In-ball samples of values, or of values(x + steps*dx) - values(x)."""
+    def samples(self, values: np.ndarray, y=None) -> CylinderSamples:
+        """In-ball samples of values, or of values(x + y) - values(x) for a
+        lattice shift y: the samples of ``increment(f, y)``."""
         slab = values[self.slab]
         vals = slab[(slice(None),) + self.nodes]
-        if steps is not None:
-            shifted = tuple((i + int(s)) % self.n for i, s in zip(self.nodes, steps))
+        if y is not None:
+            steps = _lattice_steps(self.grid, y)
+            shifted = tuple((i + int(s)) % self.grid.n for i, s in zip(self.nodes, steps))
             vals = slab[(slice(None),) + shifted] - vals
         if self.n_below > 0:
             vals = np.concatenate([np.zeros((self.n_below,) + vals.shape[1:]), vals])
-        return CylinderSamples(times=self.times, xrel=self.xrel, values=vals, basepoint_node=self.basepoint_node)
+        return CylinderSamples(times=self.times, xrel=self.xrel, values=vals)
 
 
 def ball_offsets(grid: GridSpec, r: float) -> tuple:
@@ -352,7 +348,7 @@ def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow
     if n_below > 0:
         times = np.concatenate([f.times[0] - snap_dt * np.arange(n_below, 0, -1), times])
     return CylinderWindow(
-        n=grid.n,
+        grid=grid,
         slab=slice(j0, it + 1),
         times=times,
         n_below=n_below,
@@ -360,18 +356,12 @@ def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow
         inball=inball,
         nodes=tuple((node0[a] + pts[:, a]) % grid.n for a in range(grid.dim)),
         xrel=pts * grid.dx,
-        basepoint_node=int(np.nonzero((pts == 0).all(axis=1))[0][0]),
     )
 
 
 def cylinder_samples(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderSamples:
     """All grid nodes with torus distance < r from x', at snapshots in (t'-r^2, t']."""
     return cylinder_window(f, cyl).samples(f.values)
-
-
-def cylinder_increment(f: SpaceTimeField, cyl: ParabolicCylinder, y) -> CylinderSamples:
-    """``cylinder_samples(increment(f, y), cyl)``, reading only the window."""
-    return cylinder_window(f, cyl).samples(f.values, _lattice_steps(f.grid, y))
 
 
 # ---------------------------------------------------------------------------

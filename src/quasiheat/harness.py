@@ -74,6 +74,8 @@ DEFAULTS = {
     "regularity": REGULARITY_DEFAULTS,
 }
 _SECTIONS = tuple(DEFAULTS) + ("params",)
+# the other config keys but the experiment, each with a value of its JSON type
+_TOP_LEVEL = {"seeds": [0], "output_dir": "out", "plots": False}
 
 
 def _wrong_type(value, default) -> bool:
@@ -89,6 +91,11 @@ def _wrong_type(value, default) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
     return isinstance(default, int) and not float(value).is_integer()
+
+
+def _check_type(name: str, value, like) -> None:
+    if _wrong_type(value, like):
+        raise ConfigError(f"{name} = {value!r} does not have the JSON type of {like!r}")
 
 
 def _checked(build, *args, **kwargs):
@@ -127,6 +134,8 @@ class ExperimentConfig:
                               f"choose from {tuple(EXPERIMENTS)}")
         for name in _SECTIONS:
             self._check(name, getattr(self, name))
+        for key, like in _TOP_LEVEL.items():
+            _check_type(key, getattr(self, key), like)
         self.params = self.section("params")
         self.regularity = self.section("regularity")
 
@@ -142,9 +151,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; "
                               f"known: {sorted(defaults)}")
         for key, value in given.items():
-            if _wrong_type(value, defaults[key]):
-                raise ConfigError(f"{name}.{key} = {value!r} does not have the type "
-                                  f"of its default {defaults[key]!r}")
+            _check_type(f"{name}.{key}", value, defaults[key])
 
     def section(self, name: str) -> dict:
         """A config section's given keys over its defaults."""
@@ -165,7 +172,12 @@ class ExperimentConfig:
     def from_json_file(path, experiment: Optional[str] = None) -> "ExperimentConfig":
         """Load a config file; ``experiment`` replaces the file's experiment
         before the defaults of the one run are merged into its params."""
-        d = json.loads(Path(path).read_text())
+        try:
+            d = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         if experiment is not None:
             d["experiment"] = experiment
         return ExperimentConfig.from_dict(d)
@@ -190,6 +202,8 @@ class ExperimentConfig:
             val = value
         if parts[0] in _SECTIONS:
             self._check(parts[0], {parts[1]: val})
+        else:
+            _check_type(parts[0], val, _TOP_LEVEL[parts[0]])
         if len(parts) == 1:
             setattr(self, parts[0], val)
         else:
@@ -628,6 +642,9 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
     # fixed physical shift so the coefficient family compares like for like across n
     y0 = lattice_shifts(grid, max(radii_small), budget=1)[0]
     corpus = build_corpus(grid, n_random=int(p["n_random"]), r_max=max(radii_ball))
+    # each shift scale with its shifts for the affine transfer and for the flux mismatch
+    scales = [(l, lattice_shifts(grid, l, budget=4), lattice_shifts(grid, l, budget=2))
+              for l in radii_small]
 
     corpus_consts = {name: 0.0 for name in _LEMMA_FAMILIES}
     sim_consts = {name: 0.0 for name in _LEMMA_FAMILIES}
@@ -661,15 +678,13 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
         gf_semi = holder_seminorm(entry.gradient, alpha, pair_budget=reg.pair_budget // 4)
         bump(corpus_consts, "coefficient_holder_ratio", coefficient_ratio(entry.gradient, gf_semi))
 
-        for l in radii_small:
-            for y in lattice_shifts(grid, l, budget=4):
-                lhs, rhs = increment_affine_pair(entry.scalar, entry.gradient, z, y, l)
+        for l, pair_ys, flux_ys in scales:
+            for lhs, rhs in increment_affine_pair(entry.scalar, entry.gradient, z, pair_ys, l):
                 if entry.expect_zero_affine_residual:
                     zero_worst = max(zero_worst, lhs)
                 bump(corpus_consts, "increment_affine_transfer", _ratio(lhs, rhs, ztol))
             if not entry.expect_zero_increment_constant:
-                for ratio in _flux_holder_ratios(A, entry.gradient, z, l,
-                                                 lattice_shifts(grid, l, budget=2), reg):
+                for ratio in _flux_holder_ratios(A, entry.gradient, z, l, flux_ys, reg):
                     bump(corpus_consts, "flux_mismatch_holder", ratio)
 
     # simulated gradient fields exercise the same families on real solutions;
@@ -682,12 +697,10 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
                              t_min=0.2 * grid.t_end, t_max=grid.t_end)
         for z in zs:
             bump(sim_consts, "affine_from_increments_spacetime", spacetime_ratio(gu, u.state, z))
-            for l in radii_small[:2]:
-                shifts = lattice_shifts(grid, l, budget=2)
-                for y in shifts:
-                    lhs, rhs = increment_affine_pair(u.state, gu, z, y, l)
+            for l, _, flux_ys in scales[:2]:
+                for lhs, rhs in increment_affine_pair(u.state, gu, z, flux_ys, l):
                     bump(sim_consts, "increment_affine_transfer", _ratio(lhs, rhs, ztol))
-                for ratio in _flux_holder_ratios(A, gu, z, l, shifts, reg):
+                for ratio in _flux_holder_ratios(A, gu, z, l, flux_ys, reg):
                     bump(sim_consts, "flux_mismatch_holder", ratio)
         bump(sim_consts, "coefficient_holder_ratio", coefficient_ratio(gu, su_global))
 

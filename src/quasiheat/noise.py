@@ -88,7 +88,7 @@ class NoisePath:
     spec: NoiseSpec
     grid: GridSpec
     substeps: int = 1
-    _amp: np.ndarray = field(default=None, repr=False, compare=False)
+    _amp: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _scaled_amp: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _gen: Generator = field(default=None, init=False, repr=False, compare=False)
     _state: dict = field(default=None, init=False, repr=False, compare=False)

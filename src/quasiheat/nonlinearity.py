@@ -224,10 +224,6 @@ class FrozenCoefficient:
         av.flags.writeable = False
         object.__setattr__(self, "matrix", av)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def freeze(A: Nonlinearity, grad_u_at_z) -> FrozenCoefficient:
     """a(z) = DA(grad u(z))."""

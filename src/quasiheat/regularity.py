@@ -30,7 +30,6 @@ from .grid import (
     GridSpec,
     ParabolicCylinder,
     SpaceTimeField,
-    cylinder_increment,
     cylinder_samples,
     cylinder_window,
     increment,
@@ -274,9 +273,9 @@ def increment_constant(
         shifts = lattice_shifts(grid, l, budget=params.y_budget)
         if len(shifts) == 0:
             continue
-        cyl = ParabolicCylinder(t=t0, x=x0, r=float(l))
+        win = cylinder_window(grad_f, ParabolicCylinder(t=t0, x=x0, r=float(l)))
         for y in shifts:
-            cs = cylinder_increment(grad_f, cyl, y)
+            cs = win.samples(grad_f.values, y)
             vals = cs.values if spacetime else cs.values[-1:]
             pts = vals.reshape(-1, vals.shape[-1])
             if grid.dim == 1:
@@ -302,7 +301,8 @@ def time_term_constant(
     sum_{i=0..d} sup_r r^(1-2 alpha) sup_{|y|<=r} sup over P_r(z) of
     |d/dt (delta_y f)_{r,i}|, with the i >= 1 channels convolved against the
     r-scaled derivative bump (r times the sampled-kernel derivative) and d/dt
-    taken by centered differences on the snapshot cadence.
+    taken by centered differences on the snapshot cadence, at the rows of
+    P_r(z)'s slab that have a snapshot on either side.
     """
     t0, x0 = z
     grid = f.grid
@@ -312,30 +312,20 @@ def time_term_constant(
     for r in params.radii:
         if r < 2 * grid.dx or r >= 0.5 or int(round(r * r / grid.snap_dt)) < 3:
             continue
-        win = _time_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
+        win = cylinder_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
+        rows = slice(max(win.slab.start - 1, 0), win.slab.stop + 1)  # a snapshot either side
+        around = SpaceTimeField(grid, f.times[rows], f.values[rows])
         for y in lattice_shifts(grid, r, budget=params.y_budget):
-            dyf = increment(win, y)
+            dyf = increment(around, y)
             for i in range(grid.dim + 1):
                 smooth = mollify(dyf, r) if i == 0 else _scaled_deriv(dyf, r, i - 1)
-                dt_field = _time_derivative(smooth)
-                # when t' is the trajectory's last snapshot the centered
-                # difference is unavailable there; evaluate one step earlier
-                t_eval = min(t0, float(dt_field.times[-1]))
-                cyl = ParabolicCylinder(t=t_eval, x=x0, r=float(r))
-                cs = cylinder_samples(dt_field, cyl)
-                sup = float(np.max(np.abs(cs.values)))
+                dt_vals = _time_derivative(smooth).values
+                sup = float(np.max(np.abs(dt_vals[(slice(None),) + win.nodes])))
                 best[i] = max(best[i], float(r) ** (1 - 2 * params.alpha) * sup)
     total = 0.0
     for b in best:  # channel by channel, in order
         total += b
     return total
-
-
-def _time_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> SpaceTimeField:
-    """Restrict to the cylinder's slab plus one snapshot on either side."""
-    slab = cylinder_window(f, cyl).slab
-    j0, j1 = max(slab.start - 1, 0), min(slab.stop + 1, len(f.times))
-    return SpaceTimeField(f.grid, f.times[j0:j1], f.values[j0:j1])
 
 
 def _scaled_deriv(f: SpaceTimeField, r: float, axis: int) -> SpaceTimeField:
@@ -361,23 +351,22 @@ def increment_affine_pair(
     f: SpaceTimeField,
     grad_f: SpaceTimeField,
     z: tuple,
-    y,
+    shifts,
     l: float,
-) -> tuple:
-    """(lhs, rhs) of the increment-to-gradient affine comparison.
+) -> list:
+    """[(lhs, rhs), ...] of the increment-to-gradient affine comparison, one
+    pair per lattice shift y in ``shifts``.
 
     lhs: min-max residual of fitting delta_y f by a spatial affine function
     on P_l(z).  rhs: |y| times the min-max residual of fitting grad f by a
-    symmetric affine model on P_2l(z).
+    symmetric affine model on P_2l(z), which is fitted once for all shifts.
     """
     t0, x0 = z
-    cs = cylinder_increment(f, ParabolicCylinder(t=t0, x=x0, r=float(l)), y)
-    x, v = cs.flat()
-    lhs = fit_affine_scalar(x, v).residual
-    cs2 = cylinder_samples(grad_f, ParabolicCylinder(t=t0, x=x0, r=2.0 * float(l)))
-    x2, v2 = cs2.flat()
-    rhs = float(np.linalg.norm(np.atleast_1d(y))) * fit_affine_gradient(x2, v2).residual
-    return lhs, rhs
+    win = cylinder_window(f, ParabolicCylinder(t=t0, x=x0, r=float(l)))
+    cs = cylinder_samples(grad_f, ParabolicCylinder(t=t0, x=x0, r=2.0 * float(l)))
+    grad_res = fit_affine_gradient(*cs.flat()).residual
+    return [(fit_affine_scalar(*win.samples(f.values, y).flat()).residual,
+             float(np.linalg.norm(np.atleast_1d(y))) * grad_res) for y in shifts]
 
 
 def flux_mismatch(

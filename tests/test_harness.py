@@ -460,6 +460,59 @@ def test_config_values_type_checked(tmp_path, capsys):
     assert ok.build_grid().n == 32
 
 
+def _rejected_writing_nothing(argv, tmp_path, monkeypatch, capsys):
+    """The CLI, run in tmp_path, exits 2 with a config error and adds no file."""
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert cli_main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_config_file_seeds_string_rejected(tmp_path, monkeypatch, capsys):
+    # "12" used to run seeds 1 and 2
+    (tmp_path / "c.json").write_text(json.dumps({"experiment": "noise-diag", "seeds": "12"}))
+    _rejected_writing_nothing(["noise-diag", "--config", "c.json"], tmp_path, monkeypatch, capsys)
+
+
+def test_override_seeds_string_rejected(tmp_path, monkeypatch, capsys):
+    # used to end in a ValueError traceback
+    _rejected_writing_nothing(["noise-diag", "--set", 'seeds="abc"'], tmp_path, monkeypatch, capsys)
+
+
+def test_fractional_seed_rejected(tmp_path, monkeypatch, capsys):
+    # [1.5] used to run seed 1
+    _rejected_writing_nothing(["noise-diag", "--set", "seeds=[1.5]"], tmp_path, monkeypatch, capsys)
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_dict({"experiment": "noise-diag", "seeds": [1.5]})
+    cfg = ExperimentConfig(experiment="noise-diag")
+    cfg.apply_override("seeds", "[2, 3]")
+    assert cfg.seeds == [2, 3]
+
+
+def test_output_dir_and_plots_types_checked(tmp_path, monkeypatch, capsys):
+    for override in ("output_dir=5", "plots=2"):
+        _rejected_writing_nothing(["validate-config", "--set", override], tmp_path, monkeypatch, capsys)
+    for given in ({"output_dir": 5}, {"plots": 2}):
+        with pytest.raises(ConfigError, match="type"):
+            ExperimentConfig.from_dict({"experiment": "noise-diag", **given})
+    cfg = ExperimentConfig(experiment="noise-diag")
+    cfg.apply_override("plots", "true")
+    cfg.apply_override("output_dir", "elsewhere")  # not JSON: taken as the string
+    assert cfg.plots is True and cfg.output_dir == "elsewhere"
+
+
+def test_unreadable_config_file_rejected(tmp_path, monkeypatch, capsys):
+    # each used to end in a traceback with exit 1
+    (tmp_path / "bad.json").write_text('{"experiment": ')
+    (tmp_path / "list.json").write_text('["noise-diag"]')
+    for name in ("missing.json", "bad.json", "list.json"):
+        _rejected_writing_nothing(["noise-diag", "--seed", "1", "--config", name],
+                                  tmp_path, monkeypatch, capsys)
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_json_file(tmp_path / name)
+
+
 def _no_sweep(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a sweep ran")

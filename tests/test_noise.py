@@ -196,3 +196,11 @@ def test_block_steps_batch_small_rows_only():
     assert make_path(n=256)[1].block_steps == GridSpec.create(1, 256).snap_stride
     assert make_path(n=16, dim=2)[1].block_steps == GridSpec.create(2, 16).snap_stride
     assert make_path(n=64, dim=2)[1].block_steps == 1
+
+
+def test_amplitudes_are_not_an_init_argument():
+    grid = GridSpec.create(1, 16)
+    spec = NoiseSpec(alpha=0.75, dim=1, sigma=1.0, master_seed=1)
+    with pytest.raises(TypeError):
+        NoisePath(spec, grid, 1, np.zeros(3))  # used to be taken, then replaced
+    assert NoisePath(spec, grid, 1).amplitudes.shape == Spectral(grid).k.shape[1:]

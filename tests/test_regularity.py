@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 import quasiheat.corpus
+import quasiheat.grid
+import quasiheat.regularity
 from quasiheat.corpus import build_corpus
+from quasiheat.fitting import fit_affine_gradient, fit_affine_scalar
 from quasiheat.grid import (
     GridSpec,
     Mollifier,
     ParabolicCylinder,
     SpaceTimeField,
     cylinder_samples,
+    cylinder_window,
     increment,
     lattice_shifts,
+    mollify,
+    mollify_deriv,
 )
 from quasiheat.nonlinearity import linear_family, sine_family
 from quasiheat.regularity import (
@@ -201,6 +207,31 @@ def test_increment_constant_bitwise_matches_whole_field_reference(dim, spacetime
         assert np.float64(est).tobytes() == np.float64(ref).tobytes()
 
 
+def record_windows(monkeypatch) -> list:
+    """Count the windows built through either binding of cylinder_window (grid's
+    own, which cylinder_samples calls, and regularity's); return their radii."""
+    radii, build = [], quasiheat.grid.cylinder_window
+
+    def recorded(f, cyl):
+        radii.append(cyl.r)
+        return build(f, cyl)
+
+    for module in (quasiheat.grid, quasiheat.regularity):
+        monkeypatch.setattr(module, "cylinder_window", recorded)
+    return radii
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_increment_constant_builds_one_window_per_radius(dim, monkeypatch):
+    grid = GridSpec.create(dim, 16)
+    times = grid.snapshot_times()[:12]
+    f = SpaceTimeField(grid, times, np.random.default_rng(4).normal(size=(12,) + grid.shape + (dim,)))
+    reg = RegularityParams.for_grid(grid, 0.75, r_min_factor=2, y_budget=12)
+    radii = record_windows(monkeypatch)
+    assert increment_constant(f, (float(times[-1]), 0.5 if dim == 1 else (0.5, 0.0)), reg, True) > 0
+    assert radii == [float(r) for r in reg.radii]
+
+
 # ---------------------------------------------------------------------------
 # time terms
 # ---------------------------------------------------------------------------
@@ -258,6 +289,50 @@ def test_time_terms_match_semi_analytic_oracle():
     assert est == pytest.approx(best_total, rel=0.05)
 
 
+def per_shift_time_terms(f, z, params):
+    """time_term_constant read through a window per shift and channel: each
+    time derivative is sampled on its own P_r(z), taken one snapshot earlier
+    when t' is the last snapshot."""
+    t0, x0 = z
+    grid = f.grid
+    best = [0.0] * (grid.dim + 1)
+    for r in params.radii:
+        if int(round(r * r / grid.snap_dt)) < 3:
+            continue
+        slab = cylinder_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r))).slab
+        rows = slice(max(slab.start - 1, 0), slab.stop + 1)
+        around = SpaceTimeField(grid, f.times[rows], f.values[rows])
+        for y in lattice_shifts(grid, r, budget=params.y_budget):
+            dyf = increment(around, y)
+            for i in range(grid.dim + 1):
+                g = mollify(dyf, r).values if i == 0 else r * mollify_deriv(dyf, r, i - 1).values
+                dt = around.times[1] - around.times[0]
+                times = around.times[1:-1]
+                dt_field = SpaceTimeField(grid, times, (g[2:] - g[:-2]) / (2.0 * dt))
+                cyl = ParabolicCylinder(t=min(t0, float(times[-1])), x=x0, r=float(r))
+                sup = float(np.max(np.abs(cylinder_samples(dt_field, cyl).values)))
+                best[i] = max(best[i], float(r) ** (1 - 2 * params.alpha) * sup)
+    return sum(best)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+def test_time_terms_one_window_per_radius_bitwise(dim, n, monkeypatch):
+    grid = GridSpec.create(dim, n)
+    times = grid.snapshot_times()
+    f = SpaceTimeField(grid, times, np.random.default_rng(8).normal(size=(len(times),) + grid.shape))
+    reg = RegularityParams.for_grid(grid, 0.75, r_min_factor=2, y_budget=6)
+    used = [float(r) for r in reg.radii if round(r * r / grid.snap_dt) >= 3]
+    x0 = (n - 1) / n if dim == 1 else ((n - 1) / n, 0.0)  # windows wrap at the seam
+    # a slab from the first snapshot (with zero extension), one inside, one at the last
+    for t0 in (float(times[3]), float(times[len(times) // 2]), float(times[-1])):
+        ref = per_shift_time_terms(f, (t0, x0), reg)
+        radii = record_windows(monkeypatch)
+        est = time_term_constant(f, (t0, x0), reg)
+        monkeypatch.undo()
+        assert radii == used
+        assert est > 0.0 and np.float64(est).tobytes() == np.float64(ref).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # increment-affine transfer and flux mismatch
 # ---------------------------------------------------------------------------
@@ -265,7 +340,7 @@ def test_time_terms_match_semi_analytic_oracle():
 def test_increment_affine_pair_affine_field():
     grid = GridSpec.create(1, 64)
     entry = corpus_entry(grid, "affine")
-    lhs, rhs = increment_affine_pair(
+    [(lhs, rhs)] = increment_affine_pair(
         entry.scalar, entry.gradient, entry.basepoint, [3 * grid.dx], 0.0625
     )
     assert lhs <= 1e-12 and rhs <= 1e-12
@@ -274,7 +349,7 @@ def test_increment_affine_pair_affine_field():
 def test_increment_affine_pair_quadratic_field():
     grid = GridSpec.create(1, 64)
     entry = corpus_entry(grid, "quadratic")
-    lhs, rhs = increment_affine_pair(
+    [(lhs, rhs)] = increment_affine_pair(
         entry.scalar, entry.gradient, entry.basepoint, [3 * grid.dx], 0.0625
     )
     # increments of a quadratic are affine; the gradient is exactly affine
@@ -289,10 +364,39 @@ def test_increment_affine_pair_smooth_ratio_bounded():
         if not e.name.startswith("random-smooth"):
             continue
         for l in (0.0625, 0.125):
-            lhs, rhs = increment_affine_pair(e.scalar, e.gradient, e.basepoint, [2 * grid.dx], l)
+            [(lhs, rhs)] = increment_affine_pair(e.scalar, e.gradient, e.basepoint, [2 * grid.dx], l)
             if rhs > 1e-12:
                 ratios.append(lhs / rhs)
     assert ratios and max(ratios) <= 10.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_increment_affine_pair_bitwise_per_shift_with_one_gradient_fit(dim, monkeypatch):
+    n = 16
+    grid = GridSpec.create(dim, n)
+    times = grid.snapshot_times()[:12]
+    rng = np.random.default_rng(5)
+    f = SpaceTimeField(grid, times, rng.normal(size=(12,) + grid.shape))
+    grad_f = SpaceTimeField(grid, times, rng.normal(size=(12,) + grid.shape + (dim,)))
+    z, l = (float(times[-1]), 0.0 if dim == 1 else (0.0, 0.5)), 0.125
+    shifts = list(lattice_shifts(grid, l, budget=6)) + [np.full(dim, (n - 1) * grid.dx)]
+    want = []
+    for y in shifts:  # a window and a gradient fit per shift
+        x, v = cylinder_samples(increment(f, y), ParabolicCylinder(t=z[0], x=z[1], r=l)).flat()
+        x2, v2 = cylinder_samples(grad_f, ParabolicCylinder(t=z[0], x=z[1], r=2 * l)).flat()
+        want.append((fit_affine_scalar(x, v).residual,
+                     float(np.linalg.norm(y)) * fit_affine_gradient(x2, v2).residual))
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit_affine_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(quasiheat.regularity, "fit_affine_gradient", counted)
+    got = increment_affine_pair(f, grad_f, z, shifts, l)
+    assert len(fits) == 1
+    assert len(got) == len(shifts) > 2
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_flux_mismatch_zero_for_linear_flux():
