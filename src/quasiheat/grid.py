@@ -260,7 +260,6 @@ class CylinderSamples:
     from the basepoint.  Times below zero carry the implicit zero extension.
     """
 
-    times: np.ndarray
     xrel: np.ndarray
     values: np.ndarray
 
@@ -280,13 +279,12 @@ class CylinderWindow:
     ``slab`` selects the snapshots in (t'-r^2, t'].  ``box`` holds the
     torus-wrapped node indices of the bounding box per axis and ``inball``
     marks the nodes with |x - x'| < r in it.  ``nodes`` indexes those nodes
-    (row-major box order) at signed offsets ``xrel`` from x'.  ``times`` are
-    the slab's times preceded by ``n_below`` zero-extension times below t = 0.
+    (row-major box order) at signed offsets ``xrel`` from x'.  Samples carry
+    ``n_below`` zero-extension rows below t = 0 before the slab's rows.
     """
 
     grid: GridSpec
     slab: slice
-    times: np.ndarray
     n_below: int
     box: tuple
     inball: np.ndarray
@@ -308,7 +306,7 @@ class CylinderWindow:
             vals = slab[(slice(None),) + shifted] - vals
         if self.n_below > 0:
             vals = np.concatenate([np.zeros((self.n_below,) + vals.shape[1:]), vals])
-        return CylinderSamples(times=self.times, xrel=self.xrel, values=vals)
+        return CylinderSamples(xrel=self.xrel, values=vals)
 
 
 def ball_offsets(grid: GridSpec, r: float) -> tuple:
@@ -338,19 +336,15 @@ def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow
     node0 = f.node_index(cyl.x)
     offs, inball, pts = ball_offsets(grid, cyl.r)
 
-    times = f.times[j0 : it + 1].copy()
     # zero-extension below t = 0, on the snapshot cadence, for a field whose
     # first snapshot is t = 0
     n_below = 0
     snap_dt = grid.snap_dt
     if abs(f.times[0]) < 0.5 * snap_dt and lo < f.times[0] - snap_dt:
         n_below = int(math.floor((f.times[0] - lo) / snap_dt - 1e-12))
-    if n_below > 0:
-        times = np.concatenate([f.times[0] - snap_dt * np.arange(n_below, 0, -1), times])
     return CylinderWindow(
         grid=grid,
         slab=slice(j0, it + 1),
-        times=times,
         n_below=n_below,
         box=tuple((node0[a] + offs) % grid.n for a in range(grid.dim)),
         inball=inball,

@@ -37,8 +37,8 @@ from numpy.random import Generator, Philox
 from .corpus import build_corpus
 from .grid import (GridError, GridSpec, ParabolicCylinder, SpaceTimeField, ball_offsets,
                    cylinder_samples, cylinder_window, lattice_shifts)
-from .noise import (NOISE_END, NoiseError, NoisePath, NoiseSpec, covariance_diagnostics,
-                    write_spectrum_csv)
+from .noise import (NOISE_END, NoiseError, NoisePath, NoiseSpec, check_diagnostics_size,
+                    covariance_diagnostics, write_spectrum_csv)
 from .nonlinearity import (Nonlinearity, NonlinearityError, builtin_family, freeze,
                            increment_averaged_coefficient, validate)
 from .regularity import (
@@ -261,6 +261,22 @@ class ExperimentConfig:
                               f"than the {need} an affine fit needs; raise regularity.r_min_factor")
         return reg
 
+    def check_params(self, grid: GridSpec) -> None:
+        """Raise if the experiment's ``params`` cannot run, or would skip a
+        check, on grid."""
+        p = self.params
+        if self.experiment == "noise-diag":
+            _checked(check_diagnostics_size, grid, int(p["n_samples"]), int(p["max_lag"]))
+        if self.experiment == "apriori-sweep":
+            sigmas = [float(s) for s in p["sigmas"]]
+            if not sigmas:
+                raise ConfigError("params.sigmas is empty: the sweep would check nothing")
+            for sigma in sigmas:
+                self.build_noise_spec(0, sigma=sigma)
+            if p["refine"] and 1.0 not in sigmas:
+                raise ConfigError(f"params.refine compares the sigma = 1.0 run at n and 2n, but "
+                                  f"params.sigmas = {sigmas} lacks 1.0; add it or set refine false")
+
     def parameter_block(self) -> dict:
         A = self.build_nonlinearity()
         g, n = self.section("grid"), self.section("noise")
@@ -374,6 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.build_grid()
     for seed in cfg.seeds:  # an invalid seed is a config error before any output
         cfg.build_noise_spec(seed)
+    cfg.check_params(grid)
     report = RunReport(cfg.experiment, cfg.config_hash, cfg.parameter_block())
     out = Path(cfg.output_dir) / cfg.config_hash
     EXPERIMENTS[cfg.experiment].body(_Run(cfg, grid, [int(s) for s in cfg.seeds], report, out))
@@ -881,6 +898,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     cert = validate(A)
     spec = [cfg.build_noise_spec(seed) for seed in cfg.seeds or [0]][0]
     reg = cfg.build_regularity(grid)
+    cfg.check_params(grid)
     return {
         "config_hash": cfg.config_hash,
         "grid": asdict(grid),

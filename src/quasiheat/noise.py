@@ -175,20 +175,27 @@ class NoiseDiagnostics:
     n_samples: int
 
 
+def check_diagnostics_size(grid: GridSpec, n_samples: int, max_lag: int) -> None:
+    """Raise unless ``covariance_diagnostics`` can run these sizes on grid."""
+    if n_samples < 10**3:
+        raise NoiseError("need at least 1e3 samples for covariance diagnostics")
+    n_steps_avail = int(NOISE_END / grid.dt)
+    if n_samples > n_steps_avail:
+        raise NoiseError(
+            f"only {n_steps_avail} in-support steps available for {n_samples} samples"
+        )
+    if max_lag < 0:
+        raise NoiseError(f"max_lag must be nonnegative, got {max_lag}")
+
+
 def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) -> NoiseDiagnostics:
     """Monte Carlo self-test of the synthesized noise against its spectrum.
 
     Uses one increment per step index (distinct steps are independent), with
     the fields scaled by 1/sqrt(dt) so their covariance matches K directly.
     """
-    if n_samples < 10**3:
-        raise NoiseError("need at least 1e3 samples for covariance diagnostics")
     grid = path.grid
-    n_steps_avail = int(NOISE_END / grid.dt)
-    if n_samples > n_steps_avail:
-        raise NoiseError(
-            f"only {n_steps_avail} in-support steps available for {n_samples} samples"
-        )
+    check_diagnostics_size(grid, n_samples, max_lag)
     lags = list(range(max_lag + 1))
     k_an = analytic_covariance(path.spec, grid, lags)
     sp = Spectral(grid)

@@ -100,14 +100,6 @@ class RegularityParams:
         )
 
 
-def _comp_abs(diff: np.ndarray, n_lead: int) -> np.ndarray:
-    """Max absolute value over trailing component axes."""
-    out = np.abs(diff)
-    while out.ndim > n_lead:
-        out = out.max(axis=-1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hoelder seminorm
 # ---------------------------------------------------------------------------
@@ -165,26 +157,28 @@ def holder_seminorm(
     stride when the count exceeds the budget.  Falls back to full offset
     enumeration when the field is small enough, making the estimate
     exhaustive over grid pairs.
+
+    A class shares one distance, so it is reduced once: the max of |f(z)-f(z')|
+    over its pairs and components, divided by d^alpha.  That is the max of
+    the per-pair ratios bit for bit, since correctly rounded division by a
+    positive constant is monotone, and the max over components, then over
+    anchors, is the max over all entries.
     """
     grid = f.grid
     dim = grid.dim
     if region is None:
         vals = f.values
-        mask = None
-        n_space = grid.n
     else:
         win = cylinder_window(f, region)
         vals = win.take_box(f.values)
-        mask = np.broadcast_to(win.inball, vals.shape[: 1 + dim])
-        n_space = vals.shape[1]
-    n_time = vals.shape[0]
-    if n_time * int(np.prod(vals.shape[1 : 1 + dim])) < 2:
+    n_time, n_space = vals.shape[:2]
+    n_anchors = int(np.prod(vals.shape[: 1 + dim]))
+    if n_anchors < 2:
         raise RegularityError("need at least two samples in the region")
     snap_dt = grid.snap_dt if n_time > 1 else 1.0
 
-    n_anchors = n_time * int(np.prod(vals.shape[1 : 1 + dim]))
-    n_offsets = n_time * n_space * (n_space if dim == 2 else 1)
-    exhaustive = n_anchors * n_offsets <= pair_budget * 8
+    # the offsets of a field or a box are as many as its anchors
+    exhaustive = n_anchors * n_anchors <= pair_budget * 8
     classes = _pair_classes(
         n_space, n_time, grid.dx, snap_dt, exhaustive, signed=region is not None
     )
@@ -199,8 +193,6 @@ def holder_seminorm(
         else:
             shift_specs = [(sx, 0), (0, sx), (sx, sx), (sx, -sx)]
         for sv in shift_specs:
-            if st == 0 and all(s == 0 for s in sv):
-                continue
             if region is None:
                 # torus wrap: shift s and s - n give the same pair family
                 sd = [min(abs(s) % grid.n, grid.n - abs(s) % grid.n) for s in sv]
@@ -219,33 +211,17 @@ def holder_seminorm(
                     if s % grid.n:
                         a = np.roll(a, -s, axis=1 + ax)
                 diff = a - vals[: n_time - st : stride]
-                ratios = _comp_abs(diff, diff.ndim - len(f.component_shape)) / dist**alpha
-                best = max(best, float(ratios.max()))
             else:
-                # within a box, shifts are plain slices; both ends must be in-ball
-                sl_src = [slice(0, n_time - st)]
-                sl_dst = [slice(st, n_time)]
-                ok = n_time - st > 0
-                for s in sv:
-                    w = vals.shape[1]
-                    if s >= 0:
-                        sl_src.append(slice(0, w - s))
-                        sl_dst.append(slice(s, w))
-                        ok = ok and (w - s > 0)
-                    else:
-                        sl_src.append(slice(-s, w))
-                        sl_dst.append(slice(0, w + s))
-                        ok = ok and (w + s > 0)
-                if not ok:
+                # within a box, shifts are plain slices (|s| <= n_space); both
+                # ends of a pair must be in-ball
+                dst = tuple(slice(max(s, 0), n_space + min(s, 0)) for s in sv)
+                src = tuple(slice(max(-s, 0), n_space - max(s, 0)) for s in sv)
+                pair = win.inball[dst] & win.inball[src]
+                if not pair.any():
                     continue
-                a = vals[tuple(sl_dst)]
-                bsl = vals[tuple(sl_src)]
-                msk = mask[tuple(sl_dst)] & mask[tuple(sl_src)]
-                if not msk.any():
-                    continue
-                diff = _comp_abs(a - bsl, msk.ndim)
-                ratios = np.where(msk, diff, 0.0) / dist**alpha
-                best = max(best, float(ratios.max()))
+                a = vals[(slice(st, None),) + dst][:, pair]
+                diff = a - vals[(slice(n_time - st),) + src][:, pair]
+            best = max(best, float(np.abs(diff).max()) / dist**alpha)
     return best
 
 
@@ -278,15 +254,11 @@ def increment_constant(
             cs = win.samples(grad_f.values, y)
             vals = cs.values if spacetime else cs.values[-1:]
             pts = vals.reshape(-1, vals.shape[-1])
-            if grid.dim == 1:
-                lo, hi = pts.min(), pts.max()
-                rad = 0.5 * (hi - lo)
-            else:
-                if len(pts) > 20_000:
-                    # deterministic decimation; the enclosing-ball radius of a
-                    # subset is a certified lower bound of the full sup
-                    pts = pts[:: int(np.ceil(len(pts) / 20_000))]
-                _, rad = chebyshev_center(pts)
+            if grid.dim == 2 and len(pts) > 20_000:
+                # deterministic decimation; the enclosing-ball radius of a
+                # subset is a certified lower bound of the full sup
+                pts = pts[:: int(np.ceil(len(pts) / 20_000))]
+            _, rad = chebyshev_center(pts)
             best = max(best, float(rad) / float(l) ** (2 * params.alpha))
     return best
 

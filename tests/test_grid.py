@@ -244,9 +244,11 @@ def test_cylinder_at_time_zero_is_zero_extension():
     vals = np.ones((3, 64))
     vals[0] = 0.0  # state at t=0 is zero
     f = SpaceTimeField(grid, times, vals)
-    cs = cylinder_samples(f, ParabolicCylinder(t=0.0, x=0.5, r=8 * grid.dx))
+    cyl = ParabolicCylinder(t=0.0, x=0.5, r=8 * grid.dx)
+    cs = cylinder_samples(f, cyl)
     assert np.all(cs.values == 0.0)
-    assert np.all(cs.times <= 0.0)
+    win = cylinder_window(f, cyl)  # zero-extension rows, then the t = 0 row
+    assert win.slab == slice(0, 1) and len(cs.values) == win.n_below + 1
 
 
 def test_field_from_row_one_gets_no_zero_extension():
@@ -259,9 +261,9 @@ def test_field_from_row_one_gets_no_zero_extension():
     cyl = ParabolicCylinder(t=float(times[16]), x=0.5, r=float(np.sqrt(times[16] + 5e-15)))
     assert cylinder_window(whole, cyl).slab == slice(1, 17)
     from_one = SpaceTimeField(grid, times[1:], vals[1:])
-    assert cylinder_window(from_one, cyl).n_below == 0
+    assert cylinder_window(from_one, cyl).n_below == cylinder_window(whole, cyl).n_below == 0
     got, want = cylinder_samples(from_one, cyl), cylinder_samples(whole, cyl)
-    assert np.array_equal(got.times, want.times) and np.array_equal(got.values, want.values)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_cylinder_count_matches_bruteforce():
@@ -311,9 +313,9 @@ def random_field(dim, n, n_times, comps=(), seed=0):
     return grid, SpaceTimeField(grid, times, rng.normal(size=(n_times,) + grid.shape + comps))
 
 
-def assert_same_samples(a, b):
+def assert_same_samples(a, b, n_below):
     assert a.values.tobytes() == b.values.tobytes() and a.values.shape == b.values.shape
-    assert a.times.tobytes() == b.times.tobytes()
+    assert not a.values[:n_below].any()  # the zero extension below t = 0
     assert a.xrel.tobytes() == b.xrel.tobytes()
 
 
@@ -337,16 +339,17 @@ def test_cylinder_increment_matches_whole_field_increment(dim, comps):
                 for s in shifts:
                     y = np.array(s) * grid.dx
                     ref = cylinder_samples(increment(f, y), cyl)
-                    assert_same_samples(win.samples(f.values, y), ref)
+                    assert_same_samples(win.samples(f.values, y), ref, win.n_below)
 
 
 def test_cylinder_increment_zero_extension_rows():
     grid, f = random_field(1, 32, 4, seed=1)
     cyl = ParabolicCylinder(t=float(f.times[1]), x=0.25, r=8 * grid.dx)
-    cs = cylinder_window(f, cyl).samples(f.values, 3 * grid.dx)
-    n_below = int(np.sum(cs.times < 0))
+    win = cylinder_window(f, cyl)
+    cs = win.samples(f.values, 3 * grid.dx)
+    n_below = win.n_below
     assert n_below > 0
-    assert np.all(cs.values[:n_below] == 0.0)
+    assert np.all(cs.values[:n_below] == 0.0) and np.all(cs.values[n_below:] != 0.0)
 
 
 def test_cylinder_increment_rejects_off_lattice():

@@ -520,8 +520,9 @@ def _no_sweep(monkeypatch):
 
 
 def test_theorem1_with_fewer_than_four_radii_rejected(tmp_path, monkeypatch, capsys):
-    # n=32 gives the radii [1/8, 1/4]; noise-diag reads no radius
-    assert cli_main(["validate-config", "--set", "grid.n=32"]) == 0
+    # n=32 gives the radii [1/8, 1/4]; noise-diag reads no radius, and draws
+    # at most 4,096 samples there
+    assert cli_main(["validate-config", "--set", "grid.n=32", "--set", "params.n_samples=4096"]) == 0
     cfg_file = tmp_path / "t.json"
     cfg_file.write_text(json.dumps({"experiment": "theorem1", "grid": {"n": 32}}))
     assert cli_main(["validate-config", "--config", str(cfg_file)]) == 2
@@ -633,8 +634,9 @@ def test_windowed_models_give_the_whole_field_basepoint_reports():
 
 
 def test_validate_config_takes_an_experiment(tmp_path, monkeypatch, capsys):
-    # n=16 leaves no shift scale r <= 1/8, which lemmas needs and noise-diag does not
-    assert cli_main(["validate-config", "--set", "grid.n=16"]) == 0
+    # n=16 leaves no shift scale r <= 1/8, which lemmas needs and noise-diag
+    # (drawing at most 1,024 samples there) does not
+    assert cli_main(["validate-config", "--set", "grid.n=16", "--set", "params.n_samples=1024"]) == 0
     capsys.readouterr()
     assert cli_main(["validate-config", "--experiment", "lemmas", "--set", "grid.n=16"]) == 2
     assert "r <= 1/8" in capsys.readouterr().err
@@ -642,7 +644,8 @@ def test_validate_config_takes_an_experiment(tmp_path, monkeypatch, capsys):
     assert cli_main(["lemmas", "--seed", "1", "--set", "grid.n=16",
                      "--output-dir", str(tmp_path / "out")]) == 2
     cfg_file = tmp_path / "n.json"
-    cfg_file.write_text(json.dumps({"experiment": "noise-diag", "grid": {"n": 16}}))
+    cfg_file.write_text(json.dumps({"experiment": "noise-diag", "grid": {"n": 16},
+                                    "params": {"n_samples": 1024}}))
     assert cli_main(["validate-config", "--config", str(cfg_file)]) == 0
     assert cli_main(["validate-config", "--config", str(cfg_file), "--experiment", "lemmas"]) == 2
 
@@ -691,3 +694,45 @@ def test_a_diverging_seed_gives_its_own_error(tmp_path, monkeypatch):
     assert not check["passed"]
     # seed 1's results are those of a run without seed 2
     assert report["metrics"]["seminorms"]["1"] == clean["metrics"]["seminorms"]["1"]
+
+
+# each used to validate; a run ended in a NoiseError or IndexError traceback
+@pytest.mark.parametrize("sets,match", [
+    (["grid.n=32"], "only 4096 in-support steps"),  # for the default 10,000 samples
+    (["params.n_samples=10"], "at least 1e3 samples"),
+    (["params.max_lag=-1"], "max_lag"),
+])
+def test_noise_diag_sizes_it_cannot_run_are_config_errors(sets, match, tmp_path, monkeypatch,
+                                                          capsys):
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    monkeypatch.setattr("quasiheat.harness.covariance_diagnostics", None)  # no draw runs
+    for argv in (["validate-config", "--experiment", "noise-diag"], ["noise-diag", "--seed", "1"]):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv + overrides) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.iterdir())
+
+
+# an empty list used to pass every check with no rows, and a list without 1.0
+# to leave out refinement_stability; a negative sigma failed only in the run
+@pytest.mark.parametrize("sigmas,match", [
+    ("[]", "empty"),
+    ("[-0.5, 1.0]", "sigma must be nonnegative"),
+    ("[0.5, 2.0]", "lacks 1.0"),
+])
+def test_apriori_sigmas_that_hide_its_checks_are_config_errors(sigmas, match, tmp_path,
+                                                               monkeypatch, capsys):
+    overrides = ["--set", "grid.n=32", "--set", f"params.sigmas={sigmas}"]
+    _no_sweep(monkeypatch)
+    for argv in (["validate-config", "--experiment", "apriori-sweep"],
+                 ["apriori-sweep", "--seed", "1"]):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv + overrides) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.iterdir())
+    # without the refinement, a list without 1.0 checks everything it lists
+    if sigmas == "[0.5, 2.0]":
+        assert cli_main(["validate-config", "--experiment", "apriori-sweep", "--set",
+                         "params.refine=false"] + overrides) == 0

@@ -508,10 +508,17 @@ def test_baseline_recovers_cusp_exponent(monkeypatch):
     assert slope == pytest.approx(0.75, abs=0.1)
 
 
+def _comp_abs(diff, n_lead):
+    out = np.abs(diff)
+    while out.ndim > n_lead:
+        out = out.max(axis=-1)
+    return out
+
+
 def _roll_then_stride_seminorm(f, alpha, pair_budget):
     """The whole-field seminorm as it was first written: roll every snapshot,
     then stride the time axis."""
-    from quasiheat.regularity import _comp_abs, _pair_classes
+    from quasiheat.regularity import _pair_classes
 
     grid, vals = f.grid, f.values
     dim, n_time, n = grid.dim, vals.shape[0], grid.n
@@ -563,3 +570,81 @@ def test_whole_field_seminorm_strides_before_rolling(dim, n, n_time, comps, budg
     f = SpaceTimeField(grid, np.arange(n_time) * grid.snap_dt, vals)
     got = holder_seminorm(f, 0.75, pair_budget=budget)
     assert got == _roll_then_stride_seminorm(f, 0.75, budget) and got > 0.0
+
+
+def _masked_box_seminorm(f, alpha, region, pair_budget):
+    """The seminorm on a cylinder's box as it was first written: a (time x box)
+    in-ball mask and a ratio array per offset class, zero off the mask."""
+    from quasiheat.regularity import _pair_classes
+
+    grid, dim = f.grid, f.grid.dim
+    win = cylinder_window(f, region)
+    vals = win.take_box(f.values)
+    mask = np.broadcast_to(win.inball, vals.shape[: 1 + dim])
+    n_time, w = vals.shape[:2]
+    snap_dt = grid.snap_dt if n_time > 1 else 1.0
+    n_anchors = n_time * w**dim
+    exhaustive = n_anchors * n_anchors <= pair_budget * 8
+    best = 0.0
+    for st, sx in _pair_classes(w, n_time, grid.dx, snap_dt, exhaustive, signed=True):
+        if dim == 1:
+            specs = [(sx,)]
+        elif exhaustive:
+            specs = [(sx, sy) for sy in range(-(w - 1), w)]
+        else:
+            specs = [(sx, 0), (0, sx), (sx, sx), (sx, -sx)]
+        for sv in specs:
+            dist = (math.sqrt(st * snap_dt) if st else 0.0) + math.hypot(*[abs(s) * grid.dx for s in sv])
+            if dist == 0.0:
+                continue
+            sl_src, sl_dst, ok = [slice(0, n_time - st)], [slice(st, n_time)], True
+            for s in sv:
+                if s >= 0:
+                    sl_src.append(slice(0, w - s))
+                    sl_dst.append(slice(s, w))
+                    ok = ok and w - s > 0
+                else:
+                    sl_src.append(slice(-s, w))
+                    sl_dst.append(slice(0, w + s))
+                    ok = ok and w + s > 0
+            if not ok:
+                continue
+            msk = mask[tuple(sl_dst)] & mask[tuple(sl_src)]
+            if not msk.any():
+                continue
+            diff = _comp_abs(vals[tuple(sl_dst)] - vals[tuple(sl_src)], msk.ndim)
+            ratios = np.where(msk, diff, 0.0) / dist**alpha
+            best = max(best, float(ratios.max()))
+    return best
+
+
+@pytest.mark.parametrize("dim,n,comps", [
+    (1, 64, ()), (1, 64, (1,)), (1, 64, (2,)), (2, 32, ()), (2, 32, (1,)), (2, 32, (2,)),
+])
+@pytest.mark.parametrize("budget", [200_000, 20])  # the exhaustive, then the dyadic listing
+@pytest.mark.parametrize("node,row", [
+    (0, -1),  # the box wraps the torus seam
+    (-1, -1),  # the box wraps the seam from the other side
+    (1, 3),  # the slab starts at row 0, the box wraps the seam
+    (None, 2),  # the slab starts at row 0 and the cylinder reaches below t = 0
+])
+def test_box_seminorm_bitwise_matches_masked_ratio_reference(dim, n, comps, budget, node, row):
+    grid = GridSpec.create(dim, n)
+    n_time = 12
+    rng = np.random.default_rng(n + 5 * len(comps) + 11 * dim)
+    x = (n // 2 if node is None else node % n) * grid.dx
+    r = 8 * grid.dx
+    # heavy tails put the sup on a few pairs; a spike on every node off the
+    # ball makes any pair that reaches one win
+    vals = rng.standard_cauchy((n_time,) + grid.shape + comps)
+    d = np.abs(np.arange(n) * grid.dx - x)
+    d = np.minimum(d, 1.0 - d)
+    vals[:, (d if dim == 1 else np.hypot(d[:, None], d[None, :])) >= r - 1e-12] += 1e6
+    f = SpaceTimeField(grid, np.arange(n_time) * grid.snap_dt, vals)
+    cyl = ParabolicCylinder(t=float(f.times[row]), x=(x,) * dim, r=r)
+    win = cylinder_window(f, cyl)
+    assert (win.slab.start == 0) == (row > 0)
+    n_anchors = (win.slab.stop - win.slab.start) * win.inball.size
+    assert (n_anchors * n_anchors <= budget * 8) == (budget == 200_000)
+    got = holder_seminorm(f, 0.75, region=cyl, pair_budget=budget)
+    assert got == _masked_box_seminorm(f, 0.75, cyl, budget) and 0.0 < got < 1e6
