@@ -257,7 +257,7 @@ class CylinderSamples:
 
     ``values`` has shape (Ts, Nn, *components); the last time row is the
     basepoint time, and ``xrel[j]`` is the signed torus displacement of node j
-    from the basepoint.  Times below zero carry the implicit zero extension.
+    from the basepoint.  Rows below t = 0 carry the implicit zero extension.
     """
 
     xrel: np.ndarray
