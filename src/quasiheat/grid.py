@@ -210,6 +210,12 @@ def increment(f: SpaceTimeField, y) -> SpaceTimeField:
     return SpaceTimeField(f.grid, f.times, shifted - f.values)
 
 
+def _lattice_offsets(dim: int, m: int) -> np.ndarray:
+    """Integer offsets of [-m, m]^dim, one row each, in row-major order."""
+    axes = np.meshgrid(*[np.arange(-m, m + 1)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 def lattice_shifts(grid: GridSpec, max_norm: float, budget: int = None) -> np.ndarray:
     """Nonzero lattice vectors y with |y| <= max_norm, optionally thinned.
 
@@ -219,16 +225,10 @@ def lattice_shifts(grid: GridSpec, max_norm: float, budget: int = None) -> np.nd
     m = int(math.floor(max_norm / grid.dx + 1e-9))
     if m < 1:
         return np.zeros((0, grid.dim))
-    if grid.dim == 1:
-        offs = np.arange(-m, m + 1)
-        shifts = offs[offs != 0].reshape(-1, 1)
-    else:
-        rng_off = np.arange(-m, m + 1)
-        ox, oy = np.meshgrid(rng_off, rng_off, indexing="ij")
-        pts = np.stack([ox.ravel(), oy.ravel()], axis=1)
-        norms = np.linalg.norm(pts, axis=1)
-        keep = (norms > 0) & (norms * grid.dx <= max_norm + 1e-12)
-        shifts = pts[keep]
+    pts = _lattice_offsets(grid.dim, m)
+    norms = np.linalg.norm(pts, axis=1)
+    # m's own tolerance, so in d = 1 every offset up to m is kept
+    shifts = pts[(norms > 0) & (norms <= max_norm / grid.dx + 1e-9)]
     if budget is not None and len(shifts) > budget:
         extremes = [s for s in shifts if np.count_nonzero(s) == 1 and np.max(np.abs(s)) == m]
         stride = int(np.ceil(len(shifts) / max(budget - len(extremes), 1)))
@@ -314,14 +314,9 @@ def ball_offsets(grid: GridSpec, r: float) -> tuple:
     box's offsets per axis, the in-ball mask over the box, and the in-ball
     lattice offsets, one row each in row-major box order."""
     m = int(math.ceil(r / grid.dx)) - 1
-    offs = np.arange(-m, m + 1)
-    if grid.dim == 1:
-        inball = np.abs(offs * grid.dx) < r - 1e-12
-        return offs, inball, offs[inball].reshape(-1, 1)
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    pts = np.stack([ox.ravel(), oy.ravel()], axis=1)
-    inball = (np.linalg.norm(pts * grid.dx, axis=1) < r - 1e-12).reshape(ox.shape)
-    return offs, inball, pts[inball.ravel()]
+    pts = _lattice_offsets(grid.dim, m)
+    inball = np.linalg.norm(pts * grid.dx, axis=1) < r - 1e-12
+    return np.arange(-m, m + 1), inball.reshape((2 * m + 1,) * grid.dim), pts[inball]
 
 
 def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow:
@@ -486,41 +481,24 @@ class Mollifier:
         n, dx, d = grid.n, grid.dx, grid.dim
         m = int(math.ceil(r / dx))
         offs = np.arange(-m, m + 1)
-        if d == 1:
-            u = offs * dx / r
-            u2 = u * u
-            raw = _bump(u2)
-            # d/du of the bump, times the chain rule factor 1/r
-            du = np.zeros_like(u)
-            inside = u2 < 1.0
-            du[inside] = raw[inside] * (-2.0 * u[inside] / (1.0 - u2[inside]) ** 2)
-            quad = (dx / r) ** d
-            mass = raw * quad
-            z = mass.sum()
-            mass = mass / z
-            deriv = (du * quad / (r * z),)
-            coords = (offs % n,)
-        else:
-            ux, uy = np.meshgrid(offs * dx / r, offs * dx / r, indexing="ij")
-            u2 = ux * ux + uy * uy
-            raw = _bump(u2)
-            inside = u2 < 1.0
-            fac = np.zeros_like(raw)
-            fac[inside] = raw[inside] * (-2.0 / (1.0 - u2[inside]) ** 2)
-            quad = (dx / r) ** d
-            mass = raw * quad
-            z = mass.sum()
-            mass = mass / z
-            deriv = (fac * ux * quad / (r * z), fac * uy * quad / (r * z))
-            coords = (offs % n, offs % n)
+        u = np.meshgrid(*[offs * dx / r] * d, indexing="ij")
+        u2 = sum(ui * ui for ui in u)
+        raw = _bump(u2)
+        inside = u2 < 1.0
+        quad = (dx / r) ** d
+        mass = raw * quad
+        z = mass.sum()
+        mass = mass / z
+        deriv = []
+        for ui in u:
+            # d/du_i of the bump, times the chain rule factor 1/r
+            du = np.zeros_like(u2)
+            du[inside] = raw[inside] * (-2.0 * ui[inside] / (1.0 - u2[inside]) ** 2)
+            deriv.append(du * quad / (r * z))
 
         def embed(kern):
             full = np.zeros(grid.shape)
-            if d == 1:
-                np.add.at(full, coords[0], kern)
-            else:
-                ix, iy = np.meshgrid(coords[0], coords[1], indexing="ij")
-                np.add.at(full, (ix, iy), kern)
+            np.add.at(full, np.ix_(*[offs % n] * d), kern)
             return full
 
         return Mollifier(

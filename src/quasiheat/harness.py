@@ -387,10 +387,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError(
             f"experiment {cfg.experiment!r} samples randomness: provide --seed or config seeds"
         )
+    validate_config(cfg)  # before any output, so a run rejects what validate-config does
     grid = cfg.build_grid()
-    for seed in cfg.seeds:  # an invalid seed is a config error before any output
-        cfg.build_noise_spec(seed)
-    cfg.check_params(grid)
     report = RunReport(cfg.experiment, cfg.config_hash, cfg.parameter_block())
     out = Path(cfg.output_dir) / cfg.config_hash
     EXPERIMENTS[cfg.experiment].body(_Run(cfg, grid, [int(s) for s in cfg.seeds], report, out))

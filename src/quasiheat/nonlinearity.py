@@ -124,6 +124,8 @@ def linear_family(matrix) -> Nonlinearity:
 
 def builtin_family(kind: str, dim: int, kappa: float = None, matrix=None) -> Nonlinearity:
     if kind == "sine":
+        if matrix is not None:
+            raise NonlinearityError("the sine flux takes kappa, not a matrix")
         return sine_family(dim, kappa)
     if kind in ("linear", "linear-anisotropic"):
         if matrix is None:

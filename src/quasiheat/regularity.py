@@ -19,6 +19,7 @@ discrete sup.  All sampling is deterministic given the parameters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -104,41 +105,46 @@ class RegularityParams:
 # Hoelder seminorm
 # ---------------------------------------------------------------------------
 
-def _pair_classes(
-    n_space: int, n_time: int, dx: float, snap_dt: float, exhaustive: bool, signed: bool
-):
-    """Offset classes (time shift in snapshots, signed spatial shift in nodes).
+def _lead(s) -> int:
+    """The first nonzero component of s, or 0."""
+    return next((c for c in s if c), 0)
 
-    Spatial shifts are taken modulo the torus in the full-field case, so the
-    exhaustive listing of sx in [0, n) covers both signs there; on a box
-    (``signed``) the negative shifts are listed explicitly.  The dyadic
-    listing adds the negative shift for the mixed space-time classes, where
-    the sign is not redundant.
+
+def _pair_classes(
+    dim: int, n_space: int, n_time: int, dx: float, snap_dt: float, exhaustive: bool, signed: bool
+):
+    """Offset classes (time shift in snapshots, signed spatial shift vector in nodes).
+
+    A same-time class is listed as whichever of s and -s has a positive first
+    nonzero component.  Spatial shifts are taken modulo the torus in the
+    full-field case, so the exhaustive listing of components in [0, n) covers
+    both signs there, and a same-time class's first nonzero component is at
+    most n/2 (where it is n/2, s and -s both appear); on a box (``signed``)
+    the negative components are listed explicitly.  The dyadic listing scales the directions in {-1, 0, 1}^d and
+    adds the negative shift for the mixed space-time classes, where the sign
+    is not redundant.
     """
     classes = []
     if exhaustive:
         lo = -(n_space - 1) if signed else 0
-        for st in range(0, n_time):
-            for sx in range(lo, n_space):
-                if st == 0 and sx == 0:
-                    continue
-                if st == 0 and not signed and sx > n_space // 2:
-                    continue  # pure-space pairs are sign-symmetric on the torus
-                if st == 0 and signed and sx < 0:
-                    continue
-                classes.append((st, sx))
+        for s in itertools.product(range(lo, n_space), repeat=dim):
+            if _lead(s) > 0 and (signed or _lead(s) <= n_space // 2):
+                classes.append((0, s))
+            classes += [(st, s) for st in range(1, n_time)]
         return classes
+    units = [v for v in itertools.product((-1, 0, 1), repeat=dim) if _lead(v) > 0]
     sx = 1
     while sx <= max(n_space // 2, 1):
-        classes.append((0, sx))
         st_par = int(round((sx * dx) ** 2 / snap_dt))
-        if 1 <= st_par < n_time:
-            classes.append((st_par, sx))
-            classes.append((st_par, -sx))
+        for v in units:
+            s = tuple(sx * c for c in v)
+            classes.append((0, s))
+            if 1 <= st_par < n_time:
+                classes += [(st_par, s), (st_par, tuple(-c for c in s))]
         sx *= 2
     st = 1
     while st < n_time:
-        classes.append((st, 0))
+        classes.append((st, (0,) * dim))
         st *= 2
     return classes
 
@@ -180,48 +186,40 @@ def holder_seminorm(
     # the offsets of a field or a box are as many as its anchors
     exhaustive = n_anchors * n_anchors <= pair_budget * 8
     classes = _pair_classes(
-        n_space, n_time, grid.dx, snap_dt, exhaustive, signed=region is not None
+        dim, n_space, n_time, grid.dx, snap_dt, exhaustive, signed=region is not None
     )
 
     best = 0.0
-    for st, sx in classes:
-        if dim == 1:
-            shift_specs = [(sx,)]
-        elif exhaustive:
-            lo_y = -(n_space - 1) if region is not None else 0
-            shift_specs = [(sx, sy) for sy in range(lo_y, n_space)]
+    for st, sv in classes:
+        if region is None:
+            # torus wrap: shift s and s - n give the same pair family
+            sd = [min(abs(s) % grid.n, grid.n - abs(s) % grid.n) for s in sv]
         else:
-            shift_specs = [(sx, 0), (0, sx), (sx, sx), (sx, -sx)]
-        for sv in shift_specs:
-            if region is None:
-                # torus wrap: shift s and s - n give the same pair family
-                sd = [min(abs(s) % grid.n, grid.n - abs(s) % grid.n) for s in sv]
-            else:
-                sd = [abs(s) for s in sv]
-            dist = (math.sqrt(st * snap_dt) if st else 0.0) + math.hypot(
-                *[s * grid.dx for s in sd]
-            )
-            if dist == 0.0:
+            sd = [abs(s) for s in sv]
+        dist = (math.sqrt(st * snap_dt) if st else 0.0) + math.hypot(
+            *[s * grid.dx for s in sd]
+        )
+        if dist == 0.0:
+            continue
+        if region is None:
+            # decimate the time axis first, then roll only the kept rows
+            stride = max(1, int(np.ceil((n_time - st) * np.prod(vals.shape[1 : 1 + dim]) / pair_budget)))
+            a = vals[st::stride]
+            for ax, s in enumerate(sv):
+                if s % grid.n:
+                    a = np.roll(a, -s, axis=1 + ax)
+            diff = a - vals[: n_time - st : stride]
+        else:
+            # within a box, shifts are plain slices (|s| <= n_space); both
+            # ends of a pair must be in-ball
+            dst = tuple(slice(max(s, 0), n_space + min(s, 0)) for s in sv)
+            src = tuple(slice(max(-s, 0), n_space - max(s, 0)) for s in sv)
+            pair = win.inball[dst] & win.inball[src]
+            if not pair.any():
                 continue
-            if region is None:
-                # decimate the time axis first, then roll only the kept rows
-                stride = max(1, int(np.ceil((n_time - st) * np.prod(vals.shape[1 : 1 + dim]) / pair_budget)))
-                a = vals[st::stride]
-                for ax, s in enumerate(sv):
-                    if s % grid.n:
-                        a = np.roll(a, -s, axis=1 + ax)
-                diff = a - vals[: n_time - st : stride]
-            else:
-                # within a box, shifts are plain slices (|s| <= n_space); both
-                # ends of a pair must be in-ball
-                dst = tuple(slice(max(s, 0), n_space + min(s, 0)) for s in sv)
-                src = tuple(slice(max(-s, 0), n_space - max(s, 0)) for s in sv)
-                pair = win.inball[dst] & win.inball[src]
-                if not pair.any():
-                    continue
-                a = vals[(slice(st, None),) + dst][:, pair]
-                diff = a - vals[(slice(n_time - st),) + src][:, pair]
-            best = max(best, float(np.abs(diff).max()) / dist**alpha)
+            a = vals[(slice(st, None),) + dst][:, pair]
+            diff = a - vals[(slice(n_time - st),) + src][:, pair]
+        best = max(best, float(np.abs(diff).max()) / dist**alpha)
     return best
 
 

@@ -13,6 +13,7 @@ from quasiheat.harness import (
     run_experiment,
     validate_config,
 )
+from quasiheat.nonlinearity import NonlinearityError, builtin_family
 
 
 def noise_cfg(tmp_path, **over):
@@ -434,6 +435,14 @@ def test_null_kappa_rejected(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_matrix_with_the_sine_flux_rejected(tmp_path, monkeypatch, capsys):
+    """The sine flux takes kappa; a matrix given with it used to be dropped."""
+    _rejected_writing_nothing(["validate-config", "--experiment", "theorem1",
+                               "--set", "nonlinearity.matrix=[[0.5]]"], tmp_path, monkeypatch, capsys)
+    with pytest.raises(NonlinearityError, match="matrix"):
+        builtin_family("sine", 1, 0.5, matrix=[[0.5]])
+
+
 def test_config_values_type_checked(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["noise-diag", "--seed", "1", "--output-dir", str(out),
@@ -694,6 +703,16 @@ def test_a_diverging_seed_gives_its_own_error(tmp_path, monkeypatch):
     assert not check["passed"]
     # seed 1's results are those of a run without seed 2
     assert report["metrics"]["seminorms"]["1"] == clean["metrics"]["seminorms"]["1"]
+
+
+def test_a_run_rejects_what_validate_config_rejects(tmp_path, monkeypatch, capsys):
+    # noise-diag reads no radius; its run used to skip the radius checks that
+    # validate-config makes, and exit 0
+    sets = ["--set", "grid.n=32", "--set", "params.n_samples=4096",
+            "--set", "regularity.r_min_factor=0"]
+    monkeypatch.setattr("quasiheat.harness.covariance_diagnostics", None)  # no draw runs
+    for argv in (["validate-config", "--experiment", "noise-diag"], ["noise-diag", "--seed", "1"]):
+        _rejected_writing_nothing(argv + sets, tmp_path, monkeypatch, capsys)
 
 
 # each used to validate; a run ended in a NoiseError or IndexError traceback

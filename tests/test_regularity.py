@@ -74,26 +74,57 @@ def test_seminorm_homogeneity():
     assert holder_seminorm(h, 0.75) == pytest.approx(3.0 * a, rel=1e-14)
 
 
-def test_seminorm_exhaustive_matches_all_pairs_oracle():
-    n = 32
-    _, f = static_field(n, lambda x: np.sin(2 * np.pi * x))
-    est = holder_seminorm(f, 0.75)
-    coords = (np.arange(n) / n)[:, None]
-    oracle = all_pairs_seminorm(f.times, coords, f.values[..., None], 0.75)
-    assert est == pytest.approx(oracle, rel=1e-13)
+def oracle_seminorm(f, alpha, region=None):
+    """all_pairs_seminorm over every sample of f, or over the in-ball samples
+    of a cylinder's slab."""
+    if region is None:
+        n, dim = f.grid.n, f.grid.dim
+        axes = np.meshgrid(*[np.arange(n) / n] * dim, indexing="ij")
+        coords = np.stack([a.ravel() for a in axes], axis=1)
+        vals = f.values.reshape((len(f.times), n**dim) + f.component_shape)
+        return all_pairs_seminorm(f.times, coords, vals, alpha)
+    win = cylinder_window(f, region)
+    vals = f.values[win.slab][(slice(None),) + win.nodes]
+    return all_pairs_seminorm(f.times[win.slab], win.xrel, vals, alpha)
 
 
-def test_seminorm_spacetime_matches_all_pairs_oracle():
-    n = 16
-    grid = GridSpec.create(1, n)
-    times = grid.snapshot_times()[:5]
+def y_only_field(n, n_time, fn):
+    """A d = 2 field on n_time snapshots that varies along the second axis
+    only: fn maps (times, y) to values."""
+    grid = GridSpec.create(2, n)
+    times = grid.snapshot_times()[:n_time]
+    vals = fn(times[:, None], np.arange(n)[None, :] / n)
+    return SpaceTimeField(grid, times, np.broadcast_to(vals[:, None, :], (n_time, n, n)))
+
+
+@pytest.mark.parametrize("case", ["d1-field", "d2-field", "d2-box"])
+def test_seminorm_exhaustive_matches_all_pairs_oracle(case):
+    region = None
+    if case == "d1-field":
+        _, f = static_field(32, lambda x: np.sin(2 * np.pi * x))
+    elif case == "d2-field":  # the sup, 4.0, is on the same-time shift (0, 2dx)
+        f = y_only_field(8, 1, lambda t, y: np.sin(2 * np.pi * y))
+    else:  # at r = 2dx the slab is the last snapshot alone
+        f = y_only_field(32, 12, lambda t, y: np.random.default_rng(3).normal(size=(len(t), 32)))
+        region = ParabolicCylinder(t=float(f.times[-1]), x=(0.5, 0.5), r=2 * f.grid.dx)
+    est = holder_seminorm(f, 0.75, region=region)
+    assert est == pytest.approx(oracle_seminorm(f, 0.75, region), rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["d1-field", "d2-field", "d2-box"])
+def test_seminorm_spacetime_matches_all_pairs_oracle(case):
     rng = np.random.default_rng(7)
-    vals = rng.normal(size=(5, n))
-    f = SpaceTimeField(grid, times, vals)
-    est = holder_seminorm(f, 0.75)
-    coords = (np.arange(n) / n)[:, None]
-    oracle = all_pairs_seminorm(times, coords, vals[..., None], 0.75)
-    assert est == pytest.approx(oracle, rel=1e-13)
+    region = None
+    if case == "d1-field":
+        grid = GridSpec.create(1, 16)
+        f = SpaceTimeField(grid, grid.snapshot_times()[:5], rng.normal(size=(5, 16)))
+    elif case == "d2-field":
+        f = y_only_field(8, 5, lambda t, y: rng.normal(size=(len(t), 8)))
+    else:  # at r = 6dx the slab holds 3 snapshots
+        f = y_only_field(32, 12, lambda t, y: rng.normal(size=(len(t), 32)))
+        region = ParabolicCylinder(t=float(f.times[-1]), x=(0.5, 0.5), r=6 * f.grid.dx)
+    est = holder_seminorm(f, 0.75, region=region)
+    assert est == pytest.approx(oracle_seminorm(f, 0.75, region), rel=1e-13)
 
 
 def test_seminorm_budget_is_lower_bound():
@@ -515,17 +546,48 @@ def _comp_abs(diff, n_lead):
     return out
 
 
+def _first_pair_classes(n_space, n_time, dx, snap_dt, exhaustive, signed):
+    """The offset classes (time shift, first-axis shift) as the seminorm first
+    listed them; the references below expand each to its d = 2 shifts.  Its
+    exhaustive listing never pairs a time shift of 0 with a first-axis shift
+    of 0, so in d = 2 it misses the same-time shifts along the second axis."""
+    classes = []
+    if exhaustive:
+        lo = -(n_space - 1) if signed else 0
+        for st in range(0, n_time):
+            for sx in range(lo, n_space):
+                if st == 0 and sx == 0:
+                    continue
+                if st == 0 and not signed and sx > n_space // 2:
+                    continue
+                if st == 0 and signed and sx < 0:
+                    continue
+                classes.append((st, sx))
+        return classes
+    sx = 1
+    while sx <= max(n_space // 2, 1):
+        classes.append((0, sx))
+        st_par = int(round((sx * dx) ** 2 / snap_dt))
+        if 1 <= st_par < n_time:
+            classes.append((st_par, sx))
+            classes.append((st_par, -sx))
+        sx *= 2
+    st = 1
+    while st < n_time:
+        classes.append((st, 0))
+        st *= 2
+    return classes
+
+
 def _roll_then_stride_seminorm(f, alpha, pair_budget):
     """The whole-field seminorm as it was first written: roll every snapshot,
     then stride the time axis."""
-    from quasiheat.regularity import _pair_classes
-
     grid, vals = f.grid, f.values
     dim, n_time, n = grid.dim, vals.shape[0], grid.n
     snap_dt = grid.snap_dt if n_time > 1 else 1.0
     exhaustive = (n_time * n**dim) * (n_time * n**dim) <= pair_budget * 8
     best = 0.0
-    for st, sx in _pair_classes(n, n_time, grid.dx, snap_dt, exhaustive, signed=False):
+    for st, sx in _first_pair_classes(n, n_time, grid.dx, snap_dt, exhaustive, signed=False):
         if dim == 1:
             specs = [(sx,)]
         elif exhaustive:
@@ -572,11 +634,11 @@ def test_whole_field_seminorm_strides_before_rolling(dim, n, n_time, comps, budg
     assert got == _roll_then_stride_seminorm(f, 0.75, budget) and got > 0.0
 
 
-def _masked_box_seminorm(f, alpha, region, pair_budget):
+def _masked_box_seminorm(f, alpha, region, pair_budget, second_axis=False):
     """The seminorm on a cylinder's box as it was first written: a (time x box)
-    in-ball mask and a ratio array per offset class, zero off the mask."""
-    from quasiheat.regularity import _pair_classes
-
+    in-ball mask and a ratio array per offset class, zero off the mask.
+    ``second_axis`` adds the same-time shifts (0, sy) that its d = 2
+    exhaustive listing missed."""
     grid, dim = f.grid, f.grid.dim
     win = cylinder_window(f, region)
     vals = win.take_box(f.values)
@@ -586,8 +648,13 @@ def _masked_box_seminorm(f, alpha, region, pair_budget):
     n_anchors = n_time * w**dim
     exhaustive = n_anchors * n_anchors <= pair_budget * 8
     best = 0.0
-    for st, sx in _pair_classes(w, n_time, grid.dx, snap_dt, exhaustive, signed=True):
-        if dim == 1:
+    classes = _first_pair_classes(w, n_time, grid.dx, snap_dt, exhaustive, signed=True)
+    if second_axis:
+        classes = [(0, None)] + classes
+    for st, sx in classes:
+        if sx is None:
+            specs = [(0, sy) for sy in range(1, w)]
+        elif dim == 1:
             specs = [(sx,)]
         elif exhaustive:
             specs = [(sx, sy) for sy in range(-(w - 1), w)]
@@ -616,6 +683,11 @@ def _masked_box_seminorm(f, alpha, region, pair_budget):
             ratios = np.where(msk, diff, 0.0) / dist**alpha
             best = max(best, float(ratios.max()))
     return best
+
+
+# the d = 2 exhaustive cases (node, row, comps) whose sup is on a same-time
+# shift (0, sy), which the first listing missed
+_SECOND_AXIS_SUP = {(0, -1, ()), (0, -1, (1,)), (-1, -1, ()), (-1, -1, (1,)), (None, 2, (2,))}
 
 
 @pytest.mark.parametrize("dim,n,comps", [
@@ -647,4 +719,9 @@ def test_box_seminorm_bitwise_matches_masked_ratio_reference(dim, n, comps, budg
     n_anchors = (win.slab.stop - win.slab.start) * win.inball.size
     assert (n_anchors * n_anchors <= budget * 8) == (budget == 200_000)
     got = holder_seminorm(f, 0.75, region=cyl, pair_budget=budget)
-    assert got == _masked_box_seminorm(f, 0.75, cyl, budget) and 0.0 < got < 1e6
+    want = _masked_box_seminorm(f, 0.75, cyl, budget)
+    if dim == 2 and budget == 200_000 and (node, row, comps) in _SECOND_AXIS_SUP:
+        first, want = want, _masked_box_seminorm(f, 0.75, cyl, budget, second_axis=True)
+        assert want > first
+        assert want == pytest.approx(oracle_seminorm(f, 0.75, cyl), rel=1e-13)
+    assert got == want and 0.0 < got < 1e6
