@@ -120,9 +120,9 @@ def _pair_classes(
     full-field case, so the exhaustive listing of components in [0, n) covers
     both signs there, and a same-time class's first nonzero component is at
     most n/2 (where it is n/2, s and -s both appear); on a box (``signed``)
-    the negative components are listed explicitly.  The dyadic listing scales the directions in {-1, 0, 1}^d and
-    adds the negative shift for the mixed space-time classes, where the sign
-    is not redundant.
+    the negative components are listed explicitly.  The dyadic listing scales
+    the directions in {-1, 0, 1}^d and adds the negative shift for the mixed
+    space-time classes, where the sign is not redundant.
     """
     classes = []
     if exhaustive:
