@@ -627,13 +627,19 @@ _LEMMA_FAMILIES = (
 
 def _flux_holder_ratios(A, grad, z, l, shifts, reg) -> list:
     """[(a_y - a(z)) delta_y grad]_alpha on P_2l against l^alpha [grad]_alpha
-    on P_3l, for each shift y."""
-    def semi(f, k):  # the seminorm on P_kl(z)
-        cyl = ParabolicCylinder(t=z[0], x=z[1], r=k * float(l))
-        return holder_seminorm(f, reg.alpha, region=cyl, pair_budget=reg.pair_budget // 10)
+    on P_3l, for each shift y.  The mismatch is computed on P_2l's snapshot
+    rows only, with a(z) frozen once."""
+    def cyl(k):  # P_kl(z)
+        return ParabolicCylinder(t=z[0], x=z[1], r=k * float(l))
+
+    def semi(f, k):
+        return holder_seminorm(f, reg.alpha, region=cyl(k), pair_budget=reg.pair_budget // 10)
 
     rhs = float(l) ** reg.alpha * semi(grad, 3)
-    return [_ratio(semi(flux_mismatch(A, grad, y, z), 2), rhs, 1e-11) for y in shifts]
+    slab = cylinder_window(grad, cyl(2)).slab
+    rows = SpaceTimeField(grad.grid, grad.times[slab], grad.values[slab])
+    a_z = freeze(A, grad.value_at(*z)).matrix
+    return [_ratio(semi(flux_mismatch(A, rows, y, a_z), 2), rhs, 1e-11) for y in shifts]
 
 
 def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) -> dict:

@@ -38,7 +38,7 @@ from .grid import (
     mollify,
     mollify_deriv,
 )
-from .nonlinearity import Nonlinearity, freeze, increment_averaged_coefficient
+from .nonlinearity import Nonlinearity, increment_averaged_coefficient
 
 
 class RegularityError(ValueError):
@@ -115,20 +115,20 @@ def _pair_classes(
 ):
     """Offset classes (time shift in snapshots, signed spatial shift vector in nodes).
 
-    A same-time class is listed as whichever of s and -s has a positive first
-    nonzero component.  Spatial shifts are taken modulo the torus in the
-    full-field case, so the exhaustive listing of components in [0, n) covers
-    both signs there, and a same-time class's first nonzero component is at
-    most n/2 (where it is n/2, s and -s both appear); on a box (``signed``)
-    the negative components are listed explicitly.  The dyadic listing scales
-    the directions in {-1, 0, 1}^d and adds the negative shift for the mixed
-    space-time classes, where the sign is not redundant.
+    A same-time class is listed once, as one of s and -s.  Spatial shifts
+    are taken modulo the torus in the full-field case, so the exhaustive
+    listing of components in [0, n) covers both signs there, and of s and -s
+    (mod n) it keeps the lexicographically smaller; on a box (``signed``) the
+    negative components are listed explicitly, and it keeps whichever of s
+    and -s has a positive first nonzero component.  The dyadic listing
+    scales the directions in {-1, 0, 1}^d and adds the negative shift for the
+    mixed space-time classes, where the sign is not redundant.
     """
     classes = []
     if exhaustive:
         lo = -(n_space - 1) if signed else 0
         for s in itertools.product(range(lo, n_space), repeat=dim):
-            if _lead(s) > 0 and (signed or _lead(s) <= n_space // 2):
+            if _lead(s) > 0 and (signed or s <= tuple(-c % n_space for c in s)):
                 classes.append((0, s))
             classes += [(st, s) for st in range(1, n_time)]
         return classes
@@ -343,15 +343,14 @@ def flux_mismatch(
     A: Nonlinearity,
     grad_u: SpaceTimeField,
     y,
-    z: tuple,
+    a_z: np.ndarray,
 ) -> SpaceTimeField:
     """(a_y - a(z)) applied to delta_y grad u, the source driving the
-    difference equation once the coefficient is frozen at z."""
-    t0, x0 = z
+    difference equation once the coefficient is frozen at z; ``a_z`` is the
+    frozen matrix a(z) = ``freeze(A, grad u(z)).matrix``."""
     ay = increment_averaged_coefficient(A, grad_u, y)
-    az = freeze(A, grad_u.value_at(t0, x0)).matrix
     dgrad = increment(grad_u, y).values
-    g = np.einsum("...ij,...j->...i", ay.values - az, dgrad)
+    g = np.einsum("...ij,...j->...i", ay.values - a_z, dgrad)
     return SpaceTimeField(grad_u.grid, grad_u.times, g)
 
 

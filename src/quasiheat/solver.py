@@ -8,22 +8,19 @@ increments in one block (``NoisePath.increments``):
 * heat:        dv/dt = Lap v + xi
 * anisotropic: dv_a/dt = div a grad v_a + xi   (constant elliptic a)
 
-The nonlinear equation is advanced by a stabilized exponential splitting of
-du/dt = Lap u + div(A(grad u) - grad u) + xi:
+Each member is a row h of one stack of spectra, and every row takes the
+exponential step
 
-    u_hat <- exp(-|k|^2 dt) * (u_hat + dt * N_hat(u)) + dW_hat
+    h <- exp(-mu_k dt) * (h + dt * N_hat(h)) + dW_hat,   mu_k = k . sym(a) k.
 
-which damps the stiff part unconditionally (the explicit remainder has
-Jacobian norm at most 2 because |DA eta| <= |eta|) and, crucially, injects
-each fresh noise increment with unit coefficient -- exactly as the
-constant-coefficient integrator below does, so the noise-transfer error
-cancels in differences of solutions driven by the same path.
-
-Constant-coefficient equations use the exact per-mode exponential update
-
-    v_hat <- exp(-mu_k dt) v_hat + dW_hat,   mu_k = k . sym(a) k,
-
-which removes time-discretization error from the model side.
+A constant-coefficient row has N = 0: the exact per-mode update, which
+removes time-discretization error from the model side.  The flux row has
+a = I and N = div(A(grad u) - grad u), a stabilized exponential splitting of
+du/dt = Lap u + div(A(grad u) - grad u) + xi that damps the stiff part
+unconditionally (the explicit remainder has Jacobian norm at most 2 because
+|DA eta| <= |eta|).  Every row injects each fresh noise increment with unit
+coefficient, so the noise-transfer error cancels in differences of solutions
+driven by the same path.
 
 ``solve_anisotropic_batch(path, members, rows)`` is the entry point.  Every
 member starts from rest at t = 0 (fields are zero for t <= 0) under the
@@ -32,9 +29,9 @@ flux ``Nonlinearity`` (at most one) or a constant coefficient (``None`` is
 the heat model); it keeps state and gradient at every snapshot, or only its
 gradient on given rows, such as the slab a frozen model's cylinders read.
 ``solve_nonlinear`` and ``solve_linear_constant`` are batches of one.  Every
-member's update is elementwise in Fourier space, so it is bitwise the same
-whether it is advanced alone or beside others.  The wavenumbers, the
-symbols mu_k and the transforms come from ``grid.Spectral``.
+row's update is elementwise in Fourier space, so a member is bitwise the
+same alone or beside others, in any position.  The wavenumbers, the symbols
+mu_k and the transforms come from ``grid.Spectral``.
 """
 
 from __future__ import annotations
@@ -89,9 +86,9 @@ def solve_anisotropic_batch(
     A member is a flux ``Nonlinearity`` (at most one), a constant coefficient
     (``FrozenCoefficient`` or matrix), or ``None`` for the heat model.  Each
     increment is made once per step and shared, and every member is bitwise
-    identical to a run of it alone: the flux member takes the exponential
-    step of the module docstring, the constant-coefficient members are
-    stacked along a leading axis and take the exact per-mode update.
+    identical to a run of it alone: each is a row of one stack of spectra,
+    in member order, and takes the step of the module docstring, the flux
+    row with its explicit term, the others with the exact per-mode decay.
     dt comes from the path's grid and must satisfy cfl <= 1/4.
     ``rows[i]`` None (the default) keeps member i's state and gradient at
     every snapshot; a slice of snapshot rows keeps only its gradient there.
@@ -120,8 +117,6 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
             raise SolverError("nonlinearity dimension does not match the grid")
         validate(A)
     sp = Spectral(grid)
-    linear = [i for i in range(len(members)) if i not in flux]
-    slot = {i: k for k, i in enumerate(linear)}  # member -> row of the linear stack
 
     times = grid.snapshot_times()
     rows = [None] * len(members) if rows is None else rows
@@ -131,21 +126,17 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
     last = max(s[-1] for s in spans)
     n_steps = grid.n_steps if last == len(times) - 1 else last * grid.snap_stride
 
-    decay0 = np.exp(-sp.symbol() * dt).astype(complex)  # numpy's cast per product, once
-    if linear:
-        decay = np.stack([np.exp(-sp.symbol(_coeff_matrix(members[i])) * dt)
-                          for i in linear]).astype(complex)
-
-    uh = h0 = sp.to_hat(np.zeros(grid.shape))
-    vh = np.repeat(h0[None], len(linear), axis=0)
+    # the flux row decays by |k|^2; numpy's cast per product, once
+    decay = np.stack([np.exp(-sp.symbol(None if i in flux else _coeff_matrix(m)) * dt)
+                      for i, m in enumerate(members)]).astype(complex)
+    h = np.repeat(sp.to_hat(np.zeros(grid.shape))[None], len(members), axis=0)
 
     states = [np.empty((len(s),) + grid.shape) if r is None else None for r, s in zip(rows, spans)]
     grads = [np.empty((len(s),) + grid.shape + (grid.dim,)) for s in spans]
 
     def snapshot(row: int) -> None:
-        for i, (span, state, grad) in enumerate(zip(spans, states, grads)):
+        for hat, span, state, grad in zip(h, spans, states, grads):
             if row in span:
-                hat = vh[slot[i]] if i in slot else uh
                 if state is not None:
                     state[row] = sp.to_phys(hat)
                 grad[row - span.start] = sp.gradient_phys(hat)
@@ -155,15 +146,13 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
         for dw in path.increments(start, stop):
-            if flux:
-                g = sp.gradient_phys(uh)
-                nh = sp.divergence_hat(A.ev(g) - g)
-                uh = decay0 * (uh + dt * nh) + dw
-            if linear:
-                np.multiply(decay, vh, out=vh)
-                vh += dw
+            for f in flux:
+                g = sp.gradient_phys(h[f])
+                h[f] += dt * sp.divergence_hat(A.ev(g) - g)
+            np.multiply(decay, h, out=h)
+            h += dw
         if stop % grid.snap_stride == 0:
-            if not (np.all(np.isfinite(vh)) and (not flux or np.all(np.isfinite(uh)))):
+            if not np.all(np.isfinite(h)):
                 raise SolverDivergenceError(stop - 1)
             snapshot(stop // grid.snap_stride)
 

@@ -1,10 +1,11 @@
 """The benchmark workloads' artifacts against their recorded digests.
 
-Each workload of ``bench/run.py`` runs at seed 1 through the CLI, as the
-benchmark runs it, and ``bench/child.py``'s ``artifact_digest`` of what it
-wrote must equal the pin.  A change that keeps every artifact byte passes; a
-change that moves artifact bytes on purpose updates ``PINS`` here.  The pins
-were recorded on Linux x86-64 with numpy 2.4.6.
+Each workload of ``bench/run.py`` runs at seeds 1 and 23 through the CLI,
+as the benchmark runs it, and ``bench/child.py``'s ``artifact_digest`` of
+what it wrote must equal the pin of that (workload, seed).  A change that
+keeps every artifact byte passes; a change that moves artifact bytes on
+purpose updates ``PINS`` here.  The pins were recorded on Linux x86-64 with
+numpy 2.4.6.
 """
 
 import importlib.util
@@ -34,16 +35,18 @@ finally:
 child = _load("child")
 
 PINS = {
-    "lemmas-d1": "6e500f5781f7151b6402509f4cc10dd3ec0d601785a79d3517f5b1d2fb40d3f4",
-    "modelling-d2": "89f93b52801c9bfaffc1e7a694eaa9b9523b47a48dc5d6437682c5e815c8456e",
+    ("lemmas-d1", 1): "6e500f5781f7151b6402509f4cc10dd3ec0d601785a79d3517f5b1d2fb40d3f4",
+    ("lemmas-d1", 23): "d14593650d0c8b0a1f88949c1e9a26aaf027d829b0946c6cac829fe1dd7b9ed3",
+    ("modelling-d2", 1): "89f93b52801c9bfaffc1e7a694eaa9b9523b47a48dc5d6437682c5e815c8456e",
+    ("modelling-d2", 23): "fcb95d4aec37c7e82005089b4a2dd84ff210111f52ba29a1c9ca185fa278e186",
 }
 
 
-@pytest.mark.parametrize("workload", sorted(PINS))
-def test_seed_one_artifacts_match_their_pin(workload, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload,seed", sorted(PINS))
+def test_artifacts_match_their_pin(workload, seed, tmp_path, monkeypatch):
     config = dict(run.WORKLOADS[workload], output_dir=child.OUT)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(config, sort_keys=True))
-    cli.main([config["experiment"], "--config", "config.json", "--seed", "1"])
+    cli.main([config["experiment"], "--config", "config.json", "--seed", str(seed)])
     [report] = (tmp_path / child.OUT).glob("*/report.json")
-    assert child.artifact_digest(report.parent) == PINS[workload]
+    assert child.artifact_digest(report.parent) == PINS[workload, seed]

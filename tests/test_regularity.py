@@ -20,10 +20,11 @@ from quasiheat.grid import (
     mollify,
     mollify_deriv,
 )
-from quasiheat.nonlinearity import linear_family, sine_family
+from quasiheat.nonlinearity import freeze, linear_family, sine_family
 from quasiheat.regularity import (
     RegularityError,
     RegularityParams,
+    _pair_classes,
     baseline_remainder,
     flux_mismatch,
     holder_seminorm,
@@ -125,6 +126,18 @@ def test_seminorm_spacetime_matches_all_pairs_oracle(case):
         region = ParabolicCylinder(t=float(f.times[-1]), x=(0.5, 0.5), r=6 * f.grid.dx)
     est = holder_seminorm(f, 0.75, region=region)
     assert est == pytest.approx(oracle_seminorm(f, 0.75, region), rel=1e-13)
+
+
+def test_exhaustive_torus_lists_each_same_time_class_once():
+    # s and -s (mod n) are one class: the 63 nonzero shifts of Z_8^2 make 30
+    # pairs and 3 self-inverse shifts, (0, 4), (4, 0) and (4, 4)
+    grid = GridSpec.create(2, 8)
+    classes = _pair_classes(2, 8, 1, grid.dx, 1.0, exhaustive=True, signed=False)
+    same_time = [s for st, s in classes if st == 0]
+    assert len(same_time) == len({min(s, tuple(-c % 8 for c in s)) for s in same_time}) == 33
+    vals = np.random.default_rng(5).normal(size=(1, 8, 8))
+    f = SpaceTimeField(grid, grid.snapshot_times()[:1], vals)
+    assert holder_seminorm(f, 0.75) == pytest.approx(oracle_seminorm(f, 0.75), rel=1e-13)
 
 
 def test_seminorm_budget_is_lower_bound():
@@ -434,7 +447,8 @@ def test_flux_mismatch_zero_for_linear_flux():
     grid = GridSpec.create(1, 32)
     entry = corpus_entry(grid, "trig")
     A = linear_family([[0.8]])
-    g = flux_mismatch(A, entry.gradient, [3 / 32], entry.basepoint)
+    a_z = freeze(A, entry.gradient.value_at(*entry.basepoint)).matrix
+    g = flux_mismatch(A, entry.gradient, [3 / 32], a_z)
     assert np.max(np.abs(g.values)) <= 1e-14
 
 
@@ -442,7 +456,8 @@ def test_flux_mismatch_zero_for_zero_shift():
     grid = GridSpec.create(1, 32)
     entry = corpus_entry(grid, "trig")
     A = sine_family(1, 0.5)
-    g = flux_mismatch(A, entry.gradient, [0.0], entry.basepoint)
+    a_z = freeze(A, entry.gradient.value_at(*entry.basepoint)).matrix
+    g = flux_mismatch(A, entry.gradient, [0.0], a_z)
     assert np.max(np.abs(g.values)) <= 1e-14
 
 

@@ -196,12 +196,25 @@ def _case(name):
 PARITY_CASES = ["d1", "d2", "substeps2", "noise_end", "sigma0", "d2_linear_flux"]
 
 
-@pytest.mark.parametrize("name", PARITY_CASES)
-def test_engine_mixed_batch_matches_reference_loops(name):
+def _flux_at(k: int, flux, linear: list) -> list:
+    """``linear`` with ``flux`` put in at position k."""
+    return linear[:k] + [flux] + linear[k:]
+
+
+def _flux_positions(names, positions) -> list:
+    """(case, flux position) parameters; the flux-first case's id is the bare name."""
+    return [pytest.param(name, k, id=name if k == 0 else f"{name}-flux{k}")
+            for name in names for k in positions]
+
+
+@pytest.mark.parametrize("name,flux_at", _flux_positions(PARITY_CASES, (0, 1, 3)))
+def test_engine_mixed_batch_matches_reference_loops(name, flux_at):
+    # the flux member first, in the middle and last: each row matches its own loop
     cfg, (a1, a2) = _case(name)
-    got = solve_anisotropic_batch(cfg.path, [cfg.A, None, a1, a2])
-    want = [ref.solve_nonlinear(cfg), ref.solve_linear_constant(cfg, None)]
-    want += ref.solve_anisotropic_batch(cfg, [a1, a2])
+    got = solve_anisotropic_batch(cfg.path, _flux_at(flux_at, cfg.A, [None, a1, a2]))
+    linear = [ref.solve_linear_constant(cfg, None)] + ref.solve_anisotropic_batch(cfg, [a1, a2])
+    want = _flux_at(flux_at, ref.solve_nonlinear(cfg), linear)
+    assert len(got) == len(want) == 4
     for traj, (state, grad) in zip(got, want):
         assert _bits_equal(traj.state.values, state)
         assert _bits_equal(traj.gradient.values, grad)
@@ -263,16 +276,20 @@ def test_sweep_rejects_a_second_flux_member():
 # ---- windowed members: a member given snapshot rows keeps only its gradient there
 
 
-@pytest.mark.parametrize("name", ["d1", "d2", "noise_end", "substeps2"])
-def test_windowed_members_match_full_run_and_reference(name):
+@pytest.mark.parametrize(
+    "name,flux_at", _flux_positions(["d1", "d2", "noise_end", "substeps2"], (0, 2, 5)))
+def test_windowed_members_match_full_run_and_reference(name, flux_at):
     cfg, (a1, a2) = _case(name)
     n_snap = len(cfg.grid.snapshot_times())
-    members = [cfg.A, None, a1, a2, a1, a2]
-    rows = [slice(3, 7), None, slice(0, 2), slice(n_snap - 1, n_snap), slice(None), slice(5, 6)]
+    members = _flux_at(flux_at, cfg.A, [None, a1, a2, a1, a2])
+    rows = _flux_at(flux_at, slice(3, 7),
+                    [None, slice(0, 2), slice(n_snap - 1, n_snap), slice(None), slice(5, 6)])
     got = solve_anisotropic_batch(cfg.path, members, rows)
     full = solve_anisotropic_batch(cfg.path, members)
-    want = [ref.solve_nonlinear(cfg), ref.solve_linear_constant(cfg, None)]
-    want += ref.solve_anisotropic_batch(cfg, [a1, a2, a1, a2])
+    linear = [ref.solve_linear_constant(cfg, None)]
+    linear += ref.solve_anisotropic_batch(cfg, [a1, a2, a1, a2])
+    want = _flux_at(flux_at, ref.solve_nonlinear(cfg), linear)
+    assert len(got) == len(want) == 6
     for traj, whole, (state, grad), keep in zip(got, full, want, rows):
         assert (traj.state is None) == (keep is not None)
         if keep is None:
