@@ -12,19 +12,22 @@ Two closely related problems back the regularity estimators:
   a few ulp of the threshold are re-tested with math.hypot.
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
-  over samples.  Because the model depends on the spatial offset only,
-  samples sharing an offset are first pruned to their componentwise
-  envelope.  In d = 1 the fit is a Chebyshev line fit, solved exactly from
-  the convex hulls of the envelope in O(m log m); in d = 2 it is scaled
-  and solved exactly by Stiefel's exchange algorithm, whose final reference
-  certifies the optimum.  Least squares stands in, flagged degenerate, when
-  the model is not identifiable or the exchange loop hits its cap.  The
-  reported residual is always the sup the returned model achieves over the
-  samples, so it bounds the model's error.
+  over samples.  The gradient and scalar fits differ only in their linear
+  part, sym(B) or one slope row, and share one core: it checks shapes and
+  the sample count, prunes samples sharing an offset to their componentwise
+  envelope (the model depends on the offset only), subtracts a pinned
+  constant and forks once.  An identifiable d = 1 line is solved exactly
+  from the envelope's convex hulls in O(m log m); every other fit is one
+  design, scaled and solved exactly by Stiefel's exchange algorithm, whose
+  final reference certifies the optimum.  Least squares stands in, flagged
+  degenerate, when the model is not identifiable or the exchange loop hits
+  its cap.  The reported residual is always the sup the returned model
+  achieves over the samples, so it bounds the model's error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -330,7 +333,8 @@ def _minmax_line(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, free: bool) -> t
     """(theta, degenerate) of the exact d = 1 fit: theta = (slope, offset)
     minimizes max |v - slope x - offset| over samples whose values at the
     distinct increasing offsets ``x`` span [lo, hi]; when not ``free`` the
-    line passes through the origin and theta = (slope,).
+    line passes through the origin and theta = (slope,).  The line must be
+    identifiable: two distinct offsets (free), or a nonzero one (pinned).
 
     For a slope s the best offset centres the values v - s x, leaving half
     their spread.  The spread is convex and piecewise linear in s, with its
@@ -343,14 +347,8 @@ def _minmax_line(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, free: bool) -> t
     A line through the origin fits the points exactly as well as it fits
     their reflections through the origin, and the best free line of the
     symmetric set passes through the origin, so the pinned fit is the free
-    fit of that set.  Fewer than two distinct offsets (free), or no nonzero
-    offset (pinned), leave the fit unidentifiable; its rank-deficient design
-    goes to ``_minmax_fit``, whose least squares stands in.
+    fit of that set.
     """
-    if (len(x) < 2) if free else not np.any(x):
-        x2 = np.concatenate([x, x])
-        design = np.stack([x2, np.ones_like(x2)], axis=1) if free else x2[:, None]
-        return _minmax_fit(design, np.concatenate([hi, lo]))
     if not free:
         xs, vmax, vmin = _prune_envelope(np.concatenate([x, x, -x, -x])[:, None],
                                          np.concatenate([hi, lo, -hi, -lo])[:, None])
@@ -369,10 +367,59 @@ def _minmax_line(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, free: bool) -> t
     return (np.array([slope, offset]) if free else np.array([slope])), False
 
 
-def gradient_fit_samples(d: int, pinned: bool = False) -> int:
-    """The fewest samples ``fit_affine_gradient`` takes in d dimensions: their
-    bounds above and below must outnumber the entries of sym(B) and b."""
-    return (d * (d + 1) // 2 + (0 if pinned else d)) // 2 + 1
+def min_fit_samples(n_par: int) -> int:
+    """The fewest samples a fit of n_par parameters takes: their bounds
+    above and below must outnumber the parameters."""
+    return n_par // 2 + 1
+
+
+@functools.lru_cache(maxsize=None)  # shared: read it, never write it
+def _sym_index(d: int) -> np.ndarray:
+    """(d, d) numbers of the parameters of sym(B): its upper triangle, row by row."""
+    r = np.arange(d)
+    i, j = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    return i * d - i * (i - 1) // 2 + j - i
+
+
+def _fit_affine(xrel, values, pin, linear) -> tuple:
+    """(x, v, L, c, degenerate) of the min-max fit of ``values`` at offsets
+    ``xrel`` by the model L x + c, with L[i, j] = theta[lin[i, j]] for
+    lin = linear(d) of shape (k, d).  theta holds the linear parameters
+    0 .. max(lin), then the k entries of c unless ``pin`` fixes them.  x and
+    v come back as (N, d) and (N, k) arrays.
+
+    The samples are pruned to their envelope and the pin is subtracted.  An
+    identifiable d = 1 line goes to the hulls of ``_minmax_line``; every
+    other fit goes to ``_minmax_fit`` as one design, a row per (bound,
+    pruned sample, component).
+    """
+    x = np.asarray(xrel, dtype=float)
+    v = np.asarray(values, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    v = v[:, None] if v.ndim == 1 else v
+    lin = linear(x.shape[1])
+    k = len(lin)
+    if v.shape != (len(x), k):
+        raise FitError(f"expected {k}-component values at {len(x)} offsets, got shape {v.shape}")
+    n_par = int(lin.max()) + 1 + (k if pin is None else 0)
+    if len(x) < min_fit_samples(n_par):
+        raise FitError(f"need at least {min_fit_samples(n_par)} samples, got {len(x)}")
+    xp, hi, lo = _prune_envelope(x, v)
+    if pin is not None:
+        pin = np.asarray(pin, dtype=float).reshape(-1)
+        if pin.size != k:
+            raise FitError(f"a pin of {pin.size} entries for {k}-component values")
+        hi, lo = hi - pin, lo - pin
+    if x.shape[1] == 1 and (len(xp) > 1 if pin is None else np.any(xp)):
+        theta, degenerate = _minmax_line(xp[:, 0], hi[:, 0], lo[:, 0], pin is None)
+    else:
+        x2 = np.concatenate([xp, xp])
+        design = np.zeros((len(x2), k, n_par))
+        design[:, np.arange(k)[:, None], lin] = x2[:, None, :]
+        if pin is None:
+            design[:, np.arange(k), n_par - k + np.arange(k)] = 1.0
+        theta, degenerate = _minmax_fit(design.reshape(-1, n_par), np.concatenate([hi, lo]).reshape(-1))
+    return x, v, theta[lin], theta[n_par - k:] if pin is None else pin, degenerate
 
 
 def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> FitResult:
@@ -384,46 +431,7 @@ def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> Fit
     constant term (the default slope analyses pin it to the field's
     basepoint value).
     """
-    x = np.asarray(xrel, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    d = x.shape[1]
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[1] != d:
-        raise FitError("gradient fit expects d-component values")
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]  # entries of sym(B)
-    n_par = len(pairs) + (0 if pin_b is not None else d)
-    need = gradient_fit_samples(d, pinned=pin_b is not None)
-    if x.shape[0] < need:
-        raise FitError(f"need at least {need} samples, got {x.shape[0]}")
-
-    xp, vmax, vmin = _prune_envelope(x, v)
-    if pin_b is not None:
-        pb = np.asarray(pin_b, dtype=float)
-        vmax, vmin = vmax - pb, vmin - pb
-    if d == 1:
-        theta, degenerate = _minmax_line(xp[:, 0], vmax[:, 0], vmin[:, 0], pin_b is None)
-    else:
-        x2 = np.concatenate([xp, xp])
-        # one constraint row per (pruned sample, component)
-        design = np.zeros((x2.shape[0], d, n_par))
-        for p_idx, (i, j) in enumerate(pairs):
-            design[:, i, p_idx] += x2[:, j]
-            if i != j:
-                design[:, j, p_idx] += x2[:, i]
-        if pin_b is None:
-            for c in range(d):
-                design[:, c, len(pairs) + c] = 1.0
-        nrow = x2.shape[0] * d
-        theta, degenerate = _minmax_fit(design.reshape(nrow, n_par),
-                                        np.concatenate([vmax, vmin]).reshape(nrow))
-
-    B = np.zeros((d, d))
-    for p_idx, (i, j) in enumerate(pairs):
-        B[i, j] = B[j, i] = theta[p_idx]
-    b = np.asarray(pin_b, dtype=float) if pin_b is not None else theta[len(pairs):]
+    x, v, B, b, degenerate = _fit_affine(xrel, values, pin_b, _sym_index)
     model = AffineModel(B=B, b=b)
     return FitResult(model=model, residual=_sup_residual(model, x, v), degenerate=degenerate)
 
@@ -431,24 +439,6 @@ def fit_affine_gradient(xrel, values, pin_b: Optional[np.ndarray] = None) -> Fit
 def fit_affine_scalar(xrel, values, pin_offset: Optional[float] = None) -> FitResult:
     """Min-max fit of scalar samples by slope.(x - x') + offset; the residual
     is the sup the returned model achieves."""
-    x = np.asarray(xrel, dtype=float)
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if x.ndim == 1:
-        x = x[:, None]
-    d = x.shape[1]
-    n_par = d + (0 if pin_offset is not None else 1)
-    if 2 * x.shape[0] < n_par + 1:
-        raise FitError(f"need at least {n_par + 1} samples, got {x.shape[0]}")
-    xp, vmax, vmin = _prune_envelope(x, v[:, None])
-    shift = pin_offset if pin_offset is not None else 0.0
-    hi, lo = vmax[:, 0] - shift, vmin[:, 0] - shift
-    if d == 1:
-        theta, degenerate = _minmax_line(xp[:, 0], hi, lo, pin_offset is None)
-    else:
-        x2 = np.concatenate([xp, xp])
-        design = x2 if pin_offset is not None else np.concatenate([x2, np.ones((len(x2), 1))], axis=1)
-        theta, degenerate = _minmax_fit(design, np.concatenate([hi, lo]))
-
-    offset = float(pin_offset) if pin_offset is not None else float(theta[d])
-    model = ScalarAffine(slope=theta[:d], offset=offset)
-    return FitResult(model=model, residual=_sup_residual(model, x, v), degenerate=degenerate)
+    x, v, slope, offset, degenerate = _fit_affine(xrel, values, pin_offset, lambda d: np.arange(d)[None, :])
+    model = ScalarAffine(slope=slope[0], offset=float(offset[0]))
+    return FitResult(model=model, residual=_sup_residual(model, x, v[:, 0]), degenerate=degenerate)

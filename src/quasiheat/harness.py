@@ -54,7 +54,7 @@ from .regularity import (
     modelling_remainder,
     time_term_constant,
 )
-from .fitting import fit_affine_gradient, gradient_fit_samples
+from .fitting import fit_affine_gradient, min_fit_samples
 from .solver import SolverDivergenceError, solve_anisotropic_batch
 
 
@@ -255,7 +255,8 @@ class ExperimentConfig:
         if self.experiment == "lemmas" and not _small_radii(radii):
             raise ConfigError(f"lemmas needs a radius r <= 1/8 with 3r < 1/2, got {radii}; "
                               "lower regularity.r_min_factor or raise grid.n")
-        nodes, need = len(ball_offsets(grid, radii[0])[2]), gradient_fit_samples(grid.dim)
+        d = grid.dim  # a free gradient fit has the d(d + 1)/2 entries of sym(B) and the d of b
+        nodes, need = len(ball_offsets(grid, radii[0])[2]), min_fit_samples(d * (d + 3) // 2)
         if self.experiment in ("theorem1", "lemmas") and nodes < need:
             raise ConfigError(f"the smallest radius {radii[0]} holds {nodes} grid node(s), fewer "
                               f"than the {need} an affine fit needs; raise regularity.r_min_factor")

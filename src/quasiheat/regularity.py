@@ -432,7 +432,7 @@ def modelling_remainder(
         residuals_free.append(free.residual)
         models.append(pinned.model)
         # the smallest-radius model replayed at this radius
-        stability.append(float(np.max(np.abs(v - (x @ models[0].B.T + b_ref[None, :])))))
+        stability.append(float(np.max(np.abs(v - models[0](x)))))
 
     m_z = max(res / float(r) ** (2.0 * params.alpha) for res, r in zip(residuals, params.radii))
     degenerate = float(np.max(np.abs(gw.values))) <= 1e-12 or max(residuals) <= 1e-12

@@ -24,6 +24,7 @@ from oracles import (
 )
 from quasiheat import fitting
 from quasiheat.fitting import _outside
+import fitting_reference
 from welzl_reference import _EPS_IN, _in_circle, min_enclosing_circle
 
 
@@ -462,6 +463,19 @@ def test_gradient_requires_enough_samples():
         fit_affine_gradient(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
+def test_scalar_fit_rejects_multicomponent_values():
+    rng = np.random.default_rng(13)
+    with pytest.raises(FitError):
+        fit_affine_scalar(rng.uniform(-1, 1, size=(20, 2)), rng.normal(size=(20, 2)))
+
+
+@pytest.mark.parametrize("pin_b", [0.3, np.array([0.1, 0.2, 0.3])], ids=["one-entry", "three-entry"])
+def test_gradient_fit_rejects_a_pin_of_the_wrong_size(pin_b):
+    rng = np.random.default_rng(14)
+    with pytest.raises(FitError):
+        fit_affine_gradient(rng.uniform(-1, 1, size=(20, 2)), rng.normal(size=(20, 2)), pin_b=pin_b)
+
+
 def test_residual_is_sup_of_max_abs_component():
     rng = np.random.default_rng(12)
     X = rng.uniform(-1, 1, size=(25, 2))
@@ -470,3 +484,39 @@ def test_residual_is_sup_of_max_abs_component():
     pred = X @ res.model.B.T + res.model.b
     achieved = float(np.max(np.abs(V - pred)))
     assert achieved <= res.residual + 1e-8
+
+# ---------------------------------------------------------------------------
+# parity with the frozen per-fit pipelines of tests/fitting_reference.py
+# ---------------------------------------------------------------------------
+
+def _parity_sets(d):
+    """(name, xrel, values): the inputs the one fit core must fit exactly as
+    the two separate pipelines did."""
+    rng = np.random.default_rng(60 + d)
+    yield "random", rng.uniform(-1, 1, size=(30, d)), rng.normal(size=(30, d))
+    x = rng.integers(-3, 4, size=(40, d)) * _H  # repeated offsets
+    yield "lattice", x, 1e-6 * rng.normal(size=(40, d)) + x @ (3e-4 * np.eye(d))
+    yield "one-offset", np.repeat(rng.integers(1, 4, size=(1, d)) * _H, 6, axis=0), rng.normal(size=(6, d))
+    yield "zero-offsets", np.zeros((6, d)), rng.normal(size=(6, d))
+    if d == 2:
+        t = rng.integers(-4, 5, size=12)
+        yield "collinear", np.stack([t, 2 * t], axis=1) * _H, rng.normal(size=(12, 2))
+
+
+def _fit_bytes(fit):
+    m = fit.model
+    parts = (m.B, m.b) if isinstance(m, fitting.AffineModel) else (m.slope, m.offset)
+    return [np.asarray(p, dtype=float).tobytes() for p in parts + (fit.residual,)], fit.degenerate
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_fits_match_frozen_reference_bitwise(d, pinned):
+    for name, x, v in _parity_sets(d):
+        pin = v[0] + 0.1 if pinned else None
+        scalar_pin = None if pin is None else float(pin[0])
+        for new, old, values, p in [
+            (fit_affine_gradient, fitting_reference.fit_affine_gradient, v, pin),
+            (fit_affine_scalar, fitting_reference.fit_affine_scalar, v[:, 0], scalar_pin),
+        ]:
+            assert _fit_bytes(new(x, values, p)) == _fit_bytes(old(x, values, p)), (name, new.__name__)
