@@ -4,12 +4,10 @@ Two closely related problems back the regularity estimators:
 
 * ``chebyshev_center``: the constant minimizing the sup of Euclidean
   residuals over a finite point set, i.e. the center of the minimum
-  enclosing ball.  Solved in closed form for d = 1 and by the randomized
-  incremental (Welzl-style) algorithm for d = 2, made deterministic by a
-  fixed-key shuffle.  The three nested loops scan for the next point
-  outside the circle in vectorized chunks and build all candidate
-  circumcentres at once, bit-identical to per-point loops: distances within
-  a few ulp of the threshold are re-tested with math.hypot.
+  enclosing ball.  Closed form for d = 1.  In d = 2 a prefilter drops the
+  points strictly inside the octagon of extreme points, on which the circle
+  does not depend, and Welzl's randomized incremental loops, made
+  deterministic by a fixed-key shuffle, run on the rest.
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
   over samples.  The gradient and scalar fits differ only in their linear
@@ -62,135 +60,90 @@ def chebyshev_center(points) -> tuple:
         return np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo)
     if d != 2:
         raise FitError(f"chebyshev_center supports d in {{1, 2}}, got {d}")
-    cx, cy, r = _min_enclosing_circle(pts)
-    return np.array([cx, cy]), r
-
-
-def _min_enclosing_circle(pts: np.ndarray) -> tuple:
+    pts = pts[_hull_candidates(pts)]
     rng = Generator(Philox(key=np.array([0x6D65623, 0], dtype=np.uint64)))
-    order = rng.permutation(len(pts))
-    xs = np.ascontiguousarray(pts[order, 0])
-    ys = np.ascontiguousarray(pts[order, 1])
-    c = _circle_one_point(xs, ys, 1, 0)
-    i = _first_outside(xs, ys, 1, len(xs), c)
-    while i < len(xs):
-        c = _circle_one_point(xs, ys, i + 1, i)
-        i = _first_outside(xs, ys, i + 1, len(xs), c)
-    return c
+    shuffled = pts[rng.permutation(len(pts))].tolist()
+    c = (shuffled[0][0], shuffled[0][1], 0.0)
+    for i, p in enumerate(shuffled):
+        if not _in_circle(c, p):
+            c = _circle_one_point(shuffled[: i + 1], p)
+    return np.array(c[:2]), c[2]
 
 
-def _circle_one_point(xs, ys, k, ip):
-    """Smallest circle through point ip enclosing the first k points."""
-    p = (xs[ip], ys[ip])
+def _octagon(pts: np.ndarray) -> np.ndarray:
+    """The extreme points in the directions 0, 45, ..., 315 degrees, less cyclic repeats."""
+    x, y = pts[:, 0], pts[:, 1]
+    ext = pts[[int(np.argmax(v)) for v in (x, x + y, y, y - x, -x, -x - y, -y, x - y)]]
+    return ext[(ext != np.roll(ext, 1, axis=0)).any(axis=1)]
+
+
+# a computed cross product errs by less than 3 * 2**-53 of |t1| + |t2| (Shewchuk's
+# orient2d bound); the floor covers products that underflow
+_CROSS_TOL, _CROSS_FLOOR = 4 * np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _hull_candidates(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points not strictly inside ``_octagon`` (Akl and Toussaint):
+    a point goes only if its cross product with every edge exceeds the rounding
+    bound, so it is inside in exact arithmetic; under 3 vertices, none goes."""
+    a = _octagon(pts)
+    inside = np.full(len(pts), len(a) >= 3)
+    for (ax, ay), (bx, by) in zip(a, np.roll(a, -1, axis=0)):  # one edge at a time keeps memory O(N)
+        t1, t2 = (bx - ax) * (pts[:, 1] - ay), (by - ay) * (pts[:, 0] - ax)
+        inside &= t1 - t2 > _CROSS_TOL * (np.abs(t1) + np.abs(t2)) + _CROSS_FLOOR
+    return ~inside
+
+
+def _circle_one_point(points, p):
+    """Smallest circle through p enclosing points."""
     c = (p[0], p[1], 0.0)
-    j = _first_outside(xs, ys, 0, k, c)
-    while j < k:
-        q = (xs[j], ys[j])
-        if c[2] == 0.0:
-            c = _diameter(p, q)
-        else:
-            c = _circle_two_points(xs, ys, j + 1, p, q)
-        j = _first_outside(xs, ys, j + 1, k, c)
+    for i, q in enumerate(points):
+        if not _in_circle(c, q):
+            c = _diameter(p, q) if c[2] == 0.0 else _circle_two_points(points[: i + 1], p, q)
     return c
 
 
-def _circle_two_points(xs, ys, k, p, q):
-    """Smallest circle through p and q enclosing the first k points.
-
-    Of the points outside the p-q diameter circle, the circumcircle whose
-    centre lies farthest left (right) of p->q is the first maximum (minimum)
-    of the centre's cross product, as a strict-comparison scan keeps it.
-    """
+def _circle_two_points(points, p, q):
+    """Smallest circle through p and q enclosing points: of the circles through
+    p, q and a point outside the p-q diameter circle, the smaller of the one
+    centred farthest left of p->q and the one centred farthest right."""
     circ = _diameter(p, q)
-    idx = _outside(xs[:k], ys[:k], circ).nonzero()[0]
-    if idx.size == 0:
-        return circ
-    rx, ry = xs[idx], ys[idx]
-    px, py = p
-    qx, qy = q
-    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    ccx, ccy, ok = _circumcentres(p, q, rx, ry)
-    ccross = (qx - px) * (ccy - py) - (qy - py) * (ccx - px)
+    outside = [r for r in points if not _in_circle(circ, r)]
     sides = []
-    for sign, side in ((1.0, ok & (cross > 0.0)), (-1.0, ok & (cross < 0.0))):
-        cand = side.nonzero()[0]
-        if cand.size:
-            j = cand[_first_max(sign * ccross[cand])]
-            x, y = ccx[j], ccy[j]
-            r = max(math.hypot(x - px, y - py), math.hypot(x - qx, y - qy), math.hypot(x - rx[j], y - ry[j]))
-            sides.append((x, y, r))
-    if not sides:
-        return circ
-    return sides[0] if len(sides) == 1 or sides[0][2] <= sides[1][2] else sides[1]
+    for sign in (1.0, -1.0):
+        on_side = [c for r in outside if sign * _cross(p, q, r) > 0.0 and (c := _circumcircle(p, q, r))]
+        if on_side:
+            sides.append(max(on_side, key=lambda c: sign * _cross(p, q, c)))
+    return min(sides, key=lambda c: c[2], default=circ)
 
 
 def _diameter(a, b):
-    cx = 0.5 * (a[0] + b[0])
-    cy = 0.5 * (a[1] + b[1])
-    r = max(math.hypot(cx - a[0], cy - a[1]), math.hypot(cx - b[0], cy - b[1]))
-    return (cx, cy, r)
+    cx, cy = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
+    return (cx, cy, max(math.hypot(cx - a[0], cy - a[1]), math.hypot(cx - b[0], cy - b[1])))
 
 
-def _first_max(v):
-    """Index that ``best = 0; best = j if v[j] > v[best]`` ends on."""
-    if np.isnan(v[0]):
-        return 0
-    return int(np.argmax(np.where(np.isnan(v), -np.inf, v)))
-
-
-def _circumcentres(a, b, xs, ys):
-    """Centres of the circles through a, b and each (xs, ys), computed in
-    coordinates shifted to the bounding-box midpoint; ``ok`` flags the
-    non-collinear triples.  Each IEEE operation matches the scalar
-    construction (np.minimum may pick the other signed zero than min(),
-    but only when all three coordinates are zero, where d == 0)."""
-    ox = (np.minimum(min(a[0], b[0]), xs) + np.maximum(max(a[0], b[0]), xs)) / 2
-    oy = (np.minimum(min(a[1], b[1]), ys) + np.maximum(max(a[1], b[1]), ys)) / 2
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = xs - ox, ys - oy
+def _circumcircle(a, b, c):
+    """The circle through a, b and c, or None when collinear, computed about their box's midpoint."""
+    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2
+    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2
+    ax, ay, bx, by, cx, cy = a[0] - ox, a[1] - oy, b[0] - ox, b[1] - oy, c[0] - ox, c[1] - oy
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-        y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-    return x, y, d != 0.0
+    if d == 0.0:
+        return None
+    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
+    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
+    return (x, y, max(math.hypot(x - a[0], y - a[1]), math.hypot(x - b[0], y - b[1]), math.hypot(x - c[0], y - c[1])))
 
 
-_EPS_IN = 1.0 + 1e-12
+_EPS_IN = 1.0 + 1e-12  # p is in circle c when |p - centre| <= r * _EPS_IN
 
 
-# np.hypot and math.hypot may differ in the last ulp; distances this close
-# (relative) to the threshold are re-tested with math.hypot
-_HYPOT_BAND = 8 * np.finfo(float).eps
+def _in_circle(c, p) -> bool:
+    return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _EPS_IN
 
 
-def _outside(xs, ys, c) -> np.ndarray:
-    """Mask of points with math.hypot(p - centre) > r * _EPS_IN."""
-    cx, cy, r = c
-    dx, dy = xs - cx, ys - cy
-    h = np.hypot(dx, dy)
-    thr = r * _EPS_IN
-    out = h > thr
-    near = np.abs(h - thr) <= _HYPOT_BAND * thr + 1e-300
-    if near.any():
-        for j in near.nonzero()[0]:
-            out[j] = not math.hypot(dx[j], dy[j]) <= thr
-    return out
-
-
-def _first_outside(xs, ys, start, stop, c) -> int:
-    """Index of the first point in [start, stop) outside c, else stop;
-    scans growing chunks, as the next outside point is usually near."""
-    size = 64
-    while start < stop:
-        end = min(start + size, stop)
-        out = _outside(xs[start:end], ys[start:end], c)
-        j = int(out.argmax())
-        if out[j]:
-            return start + j
-        start = end
-        size *= 2
-    return stop
+def _cross(a, b, c) -> float:  # (b - a) x (c - a)
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 # ---------------------------------------------------------------------------

@@ -243,40 +243,10 @@ class ExperimentConfig:
                         kappa=nl["kappa"], matrix=nl["matrix"])
 
     def build_regularity(self, grid: GridSpec) -> RegularityParams:
-        """The estimator knobs; raises if the experiment cannot run on their radii."""
         r = self.regularity
-        reg = _checked(RegularityParams.for_grid, grid, alpha=float(self.section("noise")["alpha"]),
-                       r_min_factor=int(r["r_min_factor"]), r_max=float(r["r_max"]),
-                       pair_budget=int(r["pair_budget"]), y_budget=int(r["y_budget"]))
-        radii = [float(v) for v in reg.radii]
-        if self.experiment == "theorem1" and len(radii) < MIN_RADII:
-            raise ConfigError(f"theorem1 fits slopes over at least {MIN_RADII} radii, got "
-                              f"{radii}; lower regularity.r_min_factor or raise grid.n")
-        if self.experiment == "lemmas" and not _small_radii(radii):
-            raise ConfigError(f"lemmas needs a radius r <= 1/8 with 3r < 1/2, got {radii}; "
-                              "lower regularity.r_min_factor or raise grid.n")
-        d = grid.dim  # a free gradient fit has the d(d + 1)/2 entries of sym(B) and the d of b
-        nodes, need = len(ball_offsets(grid, radii[0])[2]), min_fit_samples(d * (d + 3) // 2)
-        if self.experiment in ("theorem1", "lemmas") and nodes < need:
-            raise ConfigError(f"the smallest radius {radii[0]} holds {nodes} grid node(s), fewer "
-                              f"than the {need} an affine fit needs; raise regularity.r_min_factor")
-        return reg
-
-    def check_params(self, grid: GridSpec) -> None:
-        """Raise if the experiment's ``params`` cannot run, or would skip a
-        check, on grid."""
-        p = self.params
-        if self.experiment == "noise-diag":
-            _checked(check_diagnostics_size, grid, int(p["n_samples"]), int(p["max_lag"]))
-        if self.experiment == "apriori-sweep":
-            sigmas = [float(s) for s in p["sigmas"]]
-            if not sigmas:
-                raise ConfigError("params.sigmas is empty: the sweep would check nothing")
-            for sigma in sigmas:
-                self.build_noise_spec(0, sigma=sigma)
-            if p["refine"] and 1.0 not in sigmas:
-                raise ConfigError(f"params.refine compares the sigma = 1.0 run at n and 2n, but "
-                                  f"params.sigmas = {sigmas} lacks 1.0; add it or set refine false")
+        return _checked(RegularityParams.for_grid, grid, alpha=float(self.section("noise")["alpha"]),
+                        r_min_factor=int(r["r_min_factor"]), r_max=float(r["r_max"]),
+                        pair_budget=int(r["pair_budget"]), y_budget=int(r["y_budget"]))
 
     def parameter_block(self) -> dict:
         A = self.build_nonlinearity()
@@ -856,20 +826,56 @@ def _apriori_sweep(run: _Run) -> None:
 # The experiment table
 # ---------------------------------------------------------------------------
 
+def _check_noise_diag(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
+    _checked(check_diagnostics_size, grid, int(cfg.params["n_samples"]), int(cfg.params["max_lag"]))
+
+
+def _check_theorem1(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
+    _check_radii(grid, reg, len(reg.radii) >= MIN_RADII, f"theorem1 fits slopes over at least {MIN_RADII} radii")
+
+
+def _check_lemmas(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
+    _check_radii(grid, reg, bool(_small_radii(reg.radii)), "lemmas needs a radius r <= 1/8 with 3r < 1/2")
+
+
+def _check_radii(grid: GridSpec, reg: RegularityParams, enough: bool, rule: str) -> None:
+    """Raise unless the radii are ``enough`` and the smallest holds an affine fit's nodes."""
+    radii = reg.radii.tolist()
+    if not enough:
+        raise ConfigError(f"{rule}, got {radii}; lower regularity.r_min_factor or raise grid.n")
+    d = grid.dim  # a free gradient fit has the d(d + 1)/2 entries of sym(B) and the d of b
+    nodes, need = len(ball_offsets(grid, radii[0])[2]), min_fit_samples(d * (d + 3) // 2)
+    if nodes < need:
+        raise ConfigError(f"the smallest radius {radii[0]} holds {nodes} grid node(s), fewer "
+                          f"than the {need} an affine fit needs; raise regularity.r_min_factor")
+
+
+def _check_apriori_sweep(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
+    sigmas = [float(s) for s in cfg.params["sigmas"]]
+    if not sigmas:
+        raise ConfigError("params.sigmas is empty: the sweep would check nothing")
+    for sigma in sigmas:
+        cfg.build_noise_spec(0, sigma=sigma)
+    if cfg.params["refine"] and 1.0 not in sigmas:
+        raise ConfigError(f"params.refine compares the sigma = 1.0 run at n and 2n, but "
+                          f"params.sigmas = {sigmas} lacks 1.0; add it or set refine false")
+
+
 class Experiment(NamedTuple):
     body: Callable[[_Run], None]  # adds the experiment's checks, metrics and artifacts
+    check: Callable[[ExperimentConfig, GridSpec, RegularityParams], None]  # raises ConfigError on a bad config
     params: dict  # the defaults of ``params``; a key not listed is rejected
 
 
 EXPERIMENTS = {
-    "noise-diag": Experiment(_noise_diag, {
+    "noise-diag": Experiment(_noise_diag, _check_noise_diag, {
         "n_samples": 10_000,
         "max_lag": 4,
         "covariance_rtol": 0.05,
         "whiteness_cap": 0.05,
         "imag_residue_cap": 1e-12,
     }),
-    "theorem1": Experiment(_theorem1, {
+    "theorem1": Experiment(_theorem1, _check_theorem1, {
         "basepoints": 16,
         "slope_margin": 0.25,
         "pass_fraction": 0.8,
@@ -877,7 +883,7 @@ EXPERIMENTS = {
         "linear_remainder_tol": 1e-9,
         "companion_increment_constant": True,
     }),
-    "lemmas": Experiment(_lemmas, {
+    "lemmas": Experiment(_lemmas, _check_lemmas, {
         "constant_cap": 50.0,
         "coefficient_ratio_cap": 1.05,
         "refine_rel_change": 0.5,
@@ -886,7 +892,7 @@ EXPERIMENTS = {
         "sim_basepoints": 3,
         "refine": True,
     }),
-    "apriori-sweep": Experiment(_apriori_sweep, {
+    "apriori-sweep": Experiment(_apriori_sweep, _check_apriori_sweep, {
         "sigmas": [0.25, 0.5, 1.0, 2.0],
         "scaling_rtol": 1e-9,
         "refine_ratio_cap": 1.5,
@@ -903,7 +909,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     cert = validate(A)
     spec = [cfg.build_noise_spec(seed) for seed in cfg.seeds or [0]][0]
     reg = cfg.build_regularity(grid)
-    cfg.check_params(grid)
+    EXPERIMENTS[cfg.experiment].check(cfg, grid, reg)
     return {
         "config_hash": cfg.config_hash,
         "grid": asdict(grid),

@@ -12,9 +12,9 @@ produces numbers that discretize sup-type quantities:
   is approximated by an affine map on shrinking cylinders, and the no-model
   baseline oscillation it is contrasted with.
 
-Sup norms over cylinders are exact over the grid samples; seminorms are
-stratified-sampled with a pair budget and are certified lower bounds of the
-discrete sup.  All sampling is deterministic given the parameters.
+Sup norms over cylinders are exact over the grid samples, in d = 1 and d = 2;
+seminorms are stratified-sampled with a pair budget and are certified lower
+bounds of the discrete sup.  All sampling is deterministic given the parameters.
 """
 
 from __future__ import annotations
@@ -251,12 +251,7 @@ def increment_constant(
         for y in shifts:
             cs = win.samples(grad_f.values, y)
             vals = cs.values if spacetime else cs.values[-1:]
-            pts = vals.reshape(-1, vals.shape[-1])
-            if grid.dim == 2 and len(pts) > 20_000:
-                # deterministic decimation; the enclosing-ball radius of a
-                # subset is a certified lower bound of the full sup
-                pts = pts[:: int(np.ceil(len(pts) / 20_000))]
-            _, rad = chebyshev_center(pts)
+            _, rad = chebyshev_center(vals.reshape(-1, vals.shape[-1]))
             best = max(best, float(rad) / float(l) ** (2 * params.alpha))
     return best
 

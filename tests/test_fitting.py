@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from oracles import (
     gradient_fit_design,
 )
 from quasiheat import fitting
-from quasiheat.fitting import _outside
 import fitting_reference
 from welzl_reference import _EPS_IN, _in_circle, min_enclosing_circle
 
@@ -76,10 +76,17 @@ def test_welzl_collinear_points():
 
 
 def assert_matches_scalar_welzl(pts):
+    """Bitwise the scalar reference on the points the prefilter keeps; within
+    1e-14 r of the reference on the full set, and enclosing every point."""
+    pts = np.asarray(pts, dtype=float)
     c, r = chebyshev_center(pts)
-    cx, cy, r_ref = min_enclosing_circle(np.asarray(pts, dtype=float))
+    cx, cy, r_kept = min_enclosing_circle(pts[fitting._hull_candidates(pts)])
     assert c.tobytes() == np.array([cx, cy]).tobytes()
-    assert np.float64(r).tobytes() == np.float64(r_ref).tobytes()
+    assert np.float64(r).tobytes() == np.float64(r_kept).tobytes()
+    cx, cy, r_full = min_enclosing_circle(pts)
+    assert abs(r - r_full) <= 1e-14 * r_full
+    assert math.hypot(c[0] - cx, c[1] - cy) <= 1e-14 * r_full
+    assert all(_in_circle((c[0], c[1], r), p) for p in pts)
 
 
 def test_welzl_bitwise_matches_scalar_reference_random():
@@ -120,31 +127,56 @@ def test_welzl_bitwise_matches_scalar_reference_on_eps_boundary():
     assert_matches_scalar_welzl(np.concatenate([base, ring]))
 
 
-def test_outside_scan_agrees_with_math_hypot_where_np_hypot_differs():
-    # thresholds placed exactly between np.hypot and math.hypot of a point:
-    # the vectorized scan must side with the scalar math.hypot test
-    rng = np.random.default_rng(15)
-    cx, cy = 0.25, -0.5
-    pts = rng.normal(size=(20_000, 2)) + [cx, cy]
-    h_np = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-    h_py = np.array([math.hypot(x - cx, y - cy) for x, y in pts])
-    split = 0
-    for j in np.flatnonzero(h_np != h_py)[:100]:
-        lo = min(h_np[j], h_py[j])
-        for r in (lo / _EPS_IN, np.nextafter(lo / _EPS_IN, 0.0), np.nextafter(lo / _EPS_IN, 1.0)):
-            c = (cx, cy, r)
-            expected = not _in_circle(c, pts[j])
-            assert _outside(pts[j : j + 1, 0], pts[j : j + 1, 1], c)[0] == expected
-            split += bool((h_np[j] > r * _EPS_IN) != expected)
-    assert split > 0  # some thresholds really fall between the two hypots
-
-
 def test_welzl_bitwise_matches_scalar_reference_large():
-    # the size increment_constant decimates from (over 20,000 points)
+    # more points than any modelling-d2 set (at most 12,688)
     rng = np.random.default_rng(14)
     pts = rng.normal(size=(25_000, 2)) * 1e-3
     assert_matches_scalar_welzl(pts)
-    assert_matches_scalar_welzl(pts[:: int(np.ceil(len(pts) / 20_000))])
+
+
+@pytest.mark.parametrize("centre,scale", [((0.0, 0.0), 1.0), (None, 1.0), ((3.7, -1.2), 1e-3), ((1e8, -3e7), 1.0)])
+def test_prefilter_drops_only_points_strictly_inside_the_octagon(centre, scale):
+    # points 1-4 ulp to either side of each edge, where a computed cross
+    # product can take the wrong sign; each one dropped must be strictly
+    # inside in exact arithmetic, so the circle of the kept points is the
+    # circle of all of them.  With centre None the first edge passes through
+    # the origin, where an ulp is far below the rounding of the cross product.
+    rng = np.random.default_rng(16)
+    th = np.arange(8) * np.pi / 4 + rng.uniform(-0.2, 0.2, size=8)
+    unit = np.stack([np.cos(th), np.sin(th)], axis=1)
+    centre = -0.5 * (unit[0] + unit[1]) if centre is None else np.array(centre)
+    verts = unit * scale + centre
+    edge = np.roll(verts, -1, axis=0) - verts
+    on = verts[:, None] + rng.uniform(0.05, 0.95, size=(8, 200, 1)) * edge[:, None]
+    ulps = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], size=on.shape)
+    near = (on + ulps * np.spacing(on)).reshape(-1, 2)
+    inner = rng.uniform(-0.5, 0.5, size=(200, 2)) * scale + centre
+    pts = rng.permutation(np.concatenate([verts, near, inner]))
+    keep = fitting._hull_candidates(pts)
+    poly = [tuple(map(Fraction, v)) for v in fitting._octagon(pts)]
+    assert len(poly) == 8 and all(any(tuple(map(Fraction, p)) == v for p in pts[keep]) for v in poly)
+    dropped = pts[~keep]
+    assert len(dropped) > len(inner) // 2
+    for px, py in (tuple(map(Fraction, p)) for p in dropped):
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            assert (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0
+    c, r = chebyshev_center(pts)
+    assert all(_in_circle((c[0], c[1], r), p) for p in pts)
+
+
+def test_prefilter_drops_the_inside_of_a_square():
+    # the 8 directions find each corner of a square twice; the polygon is the
+    # square once the repeats go, and every point inside it is dropped
+    inner = np.random.default_rng(17).uniform(-0.9, 0.9, size=(100, 2))
+    pts = np.concatenate([[[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]], inner])
+    assert np.flatnonzero(fitting._hull_candidates(pts)).tolist() == [0, 1, 2, 3]
+
+
+def test_prefilter_keeps_every_point_of_a_degenerate_octagon():
+    # collinear and all-equal sets have fewer than 3 distinct extreme points
+    t = np.linspace(-1.0, 1.0, 50)
+    for pts in (np.stack([t, 0.3 * t - 2.0], axis=1), np.repeat([[0.3, -1.7]], 50, axis=0)):
+        assert fitting._hull_candidates(pts).all()
 
 
 # ---------------------------------------------------------------------------

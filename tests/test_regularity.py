@@ -226,8 +226,6 @@ def whole_field_increment_constant(grad_f, z, params, spacetime):
             if grad_f.grid.dim == 1:
                 rad = 0.5 * (pts.max() - pts.min())
             else:
-                if len(pts) > 20_000:
-                    pts = pts[:: int(np.ceil(len(pts) / 20_000))]
                 rad = min_enclosing_circle(pts)[2]
             best = max(best, float(rad) / float(l) ** (2 * params.alpha))
     return best
@@ -249,6 +247,31 @@ def test_increment_constant_bitwise_matches_whole_field_reference(dim, spacetime
         ref = whole_field_increment_constant(f, z, reg, spacetime)
         assert est > 0.0
         assert np.float64(est).tobytes() == np.float64(ref).tobytes()
+
+
+def test_d2_increment_constant_takes_every_sample_of_a_large_cylinder():
+    # a cylinder of 20 dx on a d = 2, n = 64 grid holds 31,125 increment
+    # samples a shift; one spike of the field at the basepoint node, a row
+    # before the basepoint time, makes an outlier at an odd index, which a
+    # stride-2 decimation to 20,000 points would skip
+    grid = GridSpec.create(2, 64)
+    times = grid.snapshot_times()[:40]
+    rng = np.random.default_rng(22)
+    values = 1e-3 * rng.normal(size=(len(times),) + grid.shape + (2,))
+    values[-2, 32, 32] = (1.0, -0.5)
+    f = SpaceTimeField(grid, times, values)
+    z = (float(times[-1]), (0.5, 0.5))
+    reg = RegularityParams(alpha=0.75, radii=np.array([20 * grid.dx]), y_budget=2)
+    cyl = ParabolicCylinder(t=z[0], x=z[1], r=float(reg.radii[0]))
+    for y in lattice_shifts(grid, reg.radii[0], budget=reg.y_budget):
+        pts = cylinder_samples(increment(f, y), cyl).values.reshape(-1, 2)
+        outlier = int(np.argmin(pts[:, 0]))
+        assert len(pts) > 20_000 and outlier % int(np.ceil(len(pts) / 20_000)) != 0
+    est = increment_constant(f, z, reg, spacetime=True)
+    ref = whole_field_increment_constant(f, z, reg, spacetime=True)
+    assert est == pytest.approx(ref, rel=1e-14)
+    # the spike's increment, -(1, -0.5), sets the radius
+    assert est * float(reg.radii[0]) ** 1.5 == pytest.approx(0.5 * math.hypot(1.0, 0.5), rel=1e-2)
 
 
 def record_windows(monkeypatch) -> list:
