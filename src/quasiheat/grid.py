@@ -11,6 +11,7 @@ callers keeping their analysis windows away from the seam.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -475,6 +476,7 @@ class Mollifier:
     deriv_kernels: tuple = field(repr=False)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)  # shared: the kernels are read-only
     def build(grid: GridSpec, r: float) -> "Mollifier":
         if not (2 * grid.dx <= r < 0.5):
             raise GridError(f"mollifier scale must lie in [2*dx, 1/2), got {r}")
@@ -499,6 +501,7 @@ class Mollifier:
         def embed(kern):
             full = np.zeros(grid.shape)
             np.add.at(full, np.ix_(*[offs % n] * d), kern)
+            full.flags.writeable = False
             return full
 
         return Mollifier(
@@ -507,16 +510,6 @@ class Mollifier:
             mass_kernel=embed(mass),
             deriv_kernels=tuple(embed(k) for k in deriv),
         )
-
-
-_MOLLIFIER_CACHE: dict = {}
-
-
-def _mollifier(grid: GridSpec, r: float) -> Mollifier:
-    key = (grid.dim, grid.n, round(r / grid.dx))
-    if key not in _MOLLIFIER_CACHE:
-        _MOLLIFIER_CACHE[key] = Mollifier.build(grid, r)
-    return _MOLLIFIER_CACHE[key]
 
 
 def _convolve(f: SpaceTimeField, kernel: np.ndarray) -> np.ndarray:
@@ -530,8 +523,7 @@ def _convolve(f: SpaceTimeField, kernel: np.ndarray) -> np.ndarray:
 
 def mollify(f: SpaceTimeField, r: float) -> SpaceTimeField:
     """Convolve each snapshot with the unit-mass bump at scale r (entrywise)."""
-    mol = _mollifier(f.grid, r)
-    return SpaceTimeField(f.grid, f.times, _convolve(f, mol.mass_kernel))
+    return SpaceTimeField(f.grid, f.times, _convolve(f, Mollifier.build(f.grid, r).mass_kernel))
 
 
 def mollify_deriv(f: SpaceTimeField, r: float, axis: int) -> SpaceTimeField:
@@ -540,7 +532,7 @@ def mollify_deriv(f: SpaceTimeField, r: float, axis: int) -> SpaceTimeField:
     Annihilates constants exactly and approximates the i-th partial
     derivative of ``mollify(f, r)``.
     """
-    mol = _mollifier(f.grid, r)
+    mol = Mollifier.build(f.grid, r)
     if not (0 <= axis < f.grid.dim):
         raise GridError(f"axis {axis} out of range for dim {f.grid.dim}")
     return SpaceTimeField(f.grid, f.times, _convolve(f, mol.deriv_kernels[axis]))

@@ -383,6 +383,14 @@ def _model_member(A: Nonlinearity):
     return A.linear_matrix if A.is_linear else A
 
 
+def _solve_u_v(path: NoisePath, A: Nonlinearity, reg: RegularityParams) -> tuple:
+    """u, and the alpha-seminorms of grad v and grad u, from one sweep of u and
+    the heat model v (nothing reads the states; both are read at every snapshot)."""
+    u, v = solve_anisotropic_batch(path, [_model_member(A), None], rows=[slice(None)] * 2)
+    return u, {name: holder_seminorm(w.gradient, reg.alpha, pair_budget=reg.pair_budget)
+               for name, w in (("grad_v", v), ("grad_u", u))}
+
+
 def draw_basepoints(
     grid: GridSpec, times: np.ndarray, count: int, seed: int, t_min: float, t_max: float
 ) -> list:
@@ -462,16 +470,11 @@ def _theorem1(run: _Run) -> None:
             range(0, grid.n_steps, max(1, grid.n_steps // 16))
         )
         try:
-            # nothing reads the states, and u, v are read at every snapshot
-            u, v = solve_anisotropic_batch(path, [_model_member(A), None], rows=[slice(None)] * 2)
+            u, seminorms[str(seed)] = _solve_u_v(path, A, reg)
         except SolverDivergenceError as exc:
             errors.append({"seed": seed, "error": str(exc)})
             continue
 
-        seminorms[str(seed)] = {
-            "grad_v": holder_seminorm(v.gradient, alpha, pair_budget=reg.pair_budget),
-            "grad_u": holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget),
-        }
         zs = draw_basepoints(
             grid, u.gradient.times, int(p["basepoints"]), seed,
             t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, NOISE_END),
@@ -762,15 +765,11 @@ def _apriori_sweep(run: _Run) -> None:
         for sigma in sigmas:
             path = cfg.build_noise_path(grid, seed, sigma=sigma)
             try:
-                # nothing reads the states
-                u, v = solve_anisotropic_batch(path, [_model_member(A), None],
-                                               rows=[slice(None)] * 2)
+                _, seminorms = _solve_u_v(path, A, reg)
             except SolverDivergenceError as exc:
                 failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
                 continue
-            sv = holder_seminorm(v.gradient, alpha, pair_budget=reg.pair_budget)
-            su = holder_seminorm(u.gradient, alpha, pair_budget=reg.pair_budget)
-            rows.append({"seed": seed, "sigma": sigma, "grad_v": sv, "grad_u": su})
+            rows.append({"seed": seed, "sigma": sigma, **seminorms})
 
     by_seed = {}
     for row in rows:

@@ -246,7 +246,7 @@ def increment_averaged_coefficient(
 
     Uses 8-node Gauss-Legendre quadrature of
     integral_0^1 DA(theta*grad u(x+y) + (1-theta)*grad u(x)) dtheta,
-    pointwise over snapshots; y = 0 returns DA(grad u) exactly.
+    pointwise over snapshots; y = 0 returns DA(grad u) up to rounding (a few ulp).
     """
     if grad_u.component_shape != (A.dim,):
         raise NonlinearityError("grad_u must be a d-component vector field")

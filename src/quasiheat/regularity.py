@@ -280,32 +280,20 @@ def time_term_constant(
         win = cylinder_window(f, ParabolicCylinder(t=t0, x=x0, r=float(r)))
         rows = slice(max(win.slab.start - 1, 0), win.slab.stop + 1)  # a snapshot either side
         around = SpaceTimeField(grid, f.times[rows], f.values[rows])
+        if len(around.times) < 3:
+            raise RegularityError("need at least 3 snapshots for a centered time derivative")
+        dt = around.times[1:] - around.times[:-1]
+        if np.max(np.abs(dt - dt[0])) > 1e-12:
+            raise RegularityError("snapshots must be uniformly spaced")
+        at = (slice(None),) + win.nodes
         for y in lattice_shifts(grid, r, budget=params.y_budget):
             dyf = increment(around, y)
             for i in range(grid.dim + 1):
-                smooth = mollify(dyf, r) if i == 0 else _scaled_deriv(dyf, r, i - 1)
-                dt_vals = _time_derivative(smooth).values
-                sup = float(np.max(np.abs(dt_vals[(slice(None),) + win.nodes])))
+                g = mollify(dyf, r).values if i == 0 else r * mollify_deriv(dyf, r, i - 1).values
+                g = g[at]  # then the centred time difference, at the nodes of P_r(z)
+                sup = float(np.max(np.abs((g[2:] - g[:-2]) / (2.0 * dt[0]))))
                 best[i] = max(best[i], float(r) ** (1 - 2 * params.alpha) * sup)
-    total = 0.0
-    for b in best:  # channel by channel, in order
-        total += b
-    return total
-
-
-def _scaled_deriv(f: SpaceTimeField, r: float, axis: int) -> SpaceTimeField:
-    g = mollify_deriv(f, r, axis)
-    return SpaceTimeField(g.grid, g.times, r * g.values)
-
-
-def _time_derivative(f: SpaceTimeField) -> SpaceTimeField:
-    if len(f.times) < 3:
-        raise RegularityError("need at least 3 snapshots for a centered time derivative")
-    dt = f.times[1:] - f.times[:-1]
-    if np.max(np.abs(dt - dt[0])) > 1e-12:
-        raise RegularityError("snapshots must be uniformly spaced")
-    vals = (f.values[2:] - f.values[:-2]) / (2.0 * dt[0])
-    return SpaceTimeField(f.grid, f.times[1:-1], vals)
+    return sum(best)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,24 @@ def test_mollify_matches_direct_convolution_oracle():
     assert np.max(np.abs(out.values[0] - oracle)) < 1e-12
 
 
+def test_mollifier_cache_keys_on_the_exact_scale():
+    # 6/64 and 0.1 are 6 and 6.4 grid steps: each call must use its own
+    # kernels, whichever scale was built first
+    n = 64
+    grid, f = static_field(n, lambda x: np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
+    for r in (6 / 64, 0.1):
+        mol = Mollifier.build(grid, r)
+        assert mol.r == r
+        out = mollify(f, r).values[0]
+        assert np.max(np.abs(out - direct_convolution(f.values[0], mol.mass_kernel))) < 1e-12
+        out = mollify_deriv(f, r, 0).values[0]
+        assert np.max(np.abs(out - direct_convolution(f.values[0], mol.deriv_kernels[0]))) < 1e-12
+    assert Mollifier.build(grid, 0.1) is mol  # one build per (grid, r)
+    for kernel in (mol.mass_kernel, mol.deriv_kernels[0]):
+        with pytest.raises(ValueError):
+            kernel[0] = 1.0
+
+
 def test_mollify_commutes_with_increments():
     grid, f = static_field(128, lambda x: np.sin(2 * np.pi * x) ** 2)
     y = [7 / 128]

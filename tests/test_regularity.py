@@ -322,6 +322,23 @@ def test_time_terms_constant_in_space_field_vanish():
     assert time_term_constant(f, z, reg) <= 1e-12
 
 
+def test_time_terms_need_three_snapshots_around_a_cylinder():
+    grid = GridSpec.create(1, 64)
+    times = grid.snapshot_times()[:2]
+    f = SpaceTimeField(grid, times, np.random.default_rng(3).normal(size=(2, 64)))
+    with pytest.raises(RegularityError, match="need at least 3 snapshots for a centered time derivative"):
+        time_term_constant(f, (float(times[-1]), 0.5), params_for(grid))
+
+
+def test_time_terms_need_uniform_snapshot_times():
+    grid = GridSpec.create(1, 64)
+    times = grid.snapshot_times()[:20].copy()
+    times[-3] += 0.25 * grid.snap_dt  # inside the smallest cylinder's rows
+    f = SpaceTimeField(grid, times, np.random.default_rng(4).normal(size=(20, 64)))
+    with pytest.raises(RegularityError, match="snapshots must be uniformly spaced"):
+        time_term_constant(f, (float(times[-1]), 0.5), params_for(grid))
+
+
 def test_time_terms_match_semi_analytic_oracle():
     # f(t,x) = t sin(2 pi x): d/dt (delta_y f)_{r,i} is time independent and
     # equals the mollified increment of sin; compute it by direct convolution

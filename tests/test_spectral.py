@@ -7,9 +7,9 @@ import solver_reference as solver_ref
 import spectral_reference as ref
 from quasiheat.grid import (
     GridSpec,
+    Mollifier,
     SpaceTimeField,
     Spectral,
-    _mollifier,
     mollify,
     mollify_deriv,
     spectral_gradient,
@@ -70,7 +70,7 @@ def test_mollifiers_match_reference(dim, n, comps):
     comps = tuple(dim for _ in comps)
     f = random_field(grid, 3, comps, seed=7 * n + dim)
     r = 4 * grid.dx
-    mol = _mollifier(grid, r)
+    mol = Mollifier.build(grid, r)
     assert same_bits(mollify(f, r).values, ref.convolve(f, mol.mass_kernel))
     for axis in range(dim):
         assert same_bits(mollify_deriv(f, r, axis).values, ref.convolve(f, mol.deriv_kernels[axis]))
