@@ -4,10 +4,10 @@ Two closely related problems back the regularity estimators:
 
 * ``chebyshev_center``: the constant minimizing the sup of Euclidean
   residuals over a finite point set, i.e. the center of the minimum
-  enclosing ball.  Closed form for d = 1, and in d = 2 when the extreme points
-  in 8 directions are one point or collinear; else a prefilter drops the
-  points strictly inside their octagon, on which the circle does not depend,
-  and Welzl's loops, made deterministic by a fixed-key shuffle, run on the rest.
+  enclosing ball.  Closed form for d = 1.  In d = 2 a prefilter drops the
+  points strictly inside the octagon of extreme points, on which the circle
+  does not depend, and Welzl's randomized incremental loops, made
+  deterministic by a fixed-key shuffle, run on the rest.
 
 * ``fit_affine_*``: affine models minimizing the max-abs-component residual
   over samples.  The gradient and scalar fits differ only in their linear
@@ -60,21 +60,13 @@ def chebyshev_center(points) -> tuple:
         return np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo)
     if d != 2:
         raise FitError(f"chebyshev_center supports d in {{1, 2}}, got {d}")
-    a = _octagon(pts)
-    if len(a) == 0:  # every extreme is a repeat: the points are all equal
-        return pts[0].copy(), 0.0
-    if not _cross(a[0], a[1], a.T).any():
-        # collinear: the 8 maxima lie on the segment between the farthest two (the
-        # lexicographic extremes), and the polygon they bound lies in its diameter disk
-        c = _diameter(min(a.tolist()), max(a.tolist()))
-    else:
-        pts = pts[_hull_candidates(pts, a)]
-        rng = Generator(Philox(key=np.array([0x6D65623, 0], dtype=np.uint64)))
-        shuffled = pts[rng.permutation(len(pts))].tolist()
-        c = (shuffled[0][0], shuffled[0][1], 0.0)
-        for i, p in enumerate(shuffled):
-            if not _in_circle(c, p):
-                c = _circle_one_point(shuffled[: i + 1], p)
+    pts = pts[_hull_candidates(pts)]
+    rng = Generator(Philox(key=np.array([0x6D65623, 0], dtype=np.uint64)))
+    shuffled = pts[rng.permutation(len(pts))].tolist()
+    c = (shuffled[0][0], shuffled[0][1], 0.0)
+    for i, p in enumerate(shuffled):
+        if not _in_circle(c, p):
+            c = _circle_one_point(shuffled[: i + 1], p)
     return np.array(c[:2]), c[2]
 
 
@@ -90,10 +82,12 @@ def _octagon(pts: np.ndarray) -> np.ndarray:
 _CROSS_TOL, _CROSS_FLOOR = 4 * np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _hull_candidates(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Mask of the points not strictly inside the octagon ``a`` (Akl and Toussaint): a point
-    goes only if its cross product with every edge exceeds the rounding bound."""
-    inside = np.full(len(pts), len(a) > 0)  # no vertex, no inside
+def _hull_candidates(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points not strictly inside ``_octagon`` (Akl and Toussaint):
+    a point goes only if its cross product with every edge exceeds the rounding
+    bound, so it is inside in exact arithmetic; under 3 vertices, none goes."""
+    a = _octagon(pts)
+    inside = np.full(len(pts), len(a) >= 3)
     for (ax, ay), (bx, by) in zip(a, np.roll(a, -1, axis=0)):  # one edge at a time keeps memory O(N)
         t1, t2 = (bx - ax) * (pts[:, 1] - ay), (by - ay) * (pts[:, 0] - ax)
         inside &= t1 - t2 > _CROSS_TOL * (np.abs(t1) + np.abs(t2)) + _CROSS_FLOOR

@@ -80,7 +80,7 @@ def assert_matches_scalar_welzl(pts):
     1e-14 r of the reference on the full set, and enclosing every point."""
     pts = np.asarray(pts, dtype=float)
     c, r = chebyshev_center(pts)
-    cx, cy, r_kept = min_enclosing_circle(pts[fitting._hull_candidates(pts, fitting._octagon(pts))])
+    cx, cy, r_kept = min_enclosing_circle(pts[fitting._hull_candidates(pts)])
     assert c.tobytes() == np.array([cx, cy]).tobytes()
     assert np.float64(r).tobytes() == np.float64(r_kept).tobytes()
     cx, cy, r_full = min_enclosing_circle(pts)
@@ -101,7 +101,6 @@ _LINES = {"x_axis": (1.0, 0.0), "y_axis": (0.0, 1.0), "half_slope": (1.0, 0.5), 
 @pytest.mark.parametrize("kind", ["duplicates", "all_equal", "collinear", "cocircular", "lattice",
                                   *_LINES, "all_equal_12k", "two_points_12k"])
 def test_welzl_bitwise_matches_scalar_reference_degenerate(kind):
-    # the collinear, all-equal and two-point sets take the closed form, not the Welzl loops
     rng = np.random.default_rng(12)
     if kind == "duplicates":
         pts = np.repeat(rng.normal(size=(40, 2)), 5, axis=0)
@@ -163,7 +162,7 @@ def test_prefilter_drops_only_points_strictly_inside_the_octagon(centre, scale):
     near = (on + ulps * np.spacing(on)).reshape(-1, 2)
     inner = rng.uniform(-0.5, 0.5, size=(200, 2)) * scale + centre
     pts = rng.permutation(np.concatenate([verts, near, inner]))
-    keep = fitting._hull_candidates(pts, fitting._octagon(pts))
+    keep = fitting._hull_candidates(pts)
     poly = [tuple(map(Fraction, v)) for v in fitting._octagon(pts)]
     assert len(poly) == 8 and all(any(tuple(map(Fraction, p)) == v for p in pts[keep]) for v in poly)
     dropped = pts[~keep]
@@ -180,14 +179,14 @@ def test_prefilter_drops_the_inside_of_a_square():
     # square once the repeats go, and every point inside it is dropped
     inner = np.random.default_rng(17).uniform(-0.9, 0.9, size=(100, 2))
     pts = np.concatenate([[[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]], inner])
-    assert np.flatnonzero(fitting._hull_candidates(pts, fitting._octagon(pts))).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(fitting._hull_candidates(pts)).tolist() == [0, 1, 2, 3]
 
 
 def test_prefilter_keeps_every_point_of_a_degenerate_octagon():
     # collinear and all-equal sets have fewer than 3 distinct extreme points
     t = np.linspace(-1.0, 1.0, 50)
     for pts in (np.stack([t, 0.3 * t - 2.0], axis=1), np.repeat([[0.3, -1.7]], 50, axis=0)):
-        assert fitting._hull_candidates(pts, fitting._octagon(pts)).all()
+        assert fitting._hull_candidates(pts).all()
 
 
 # ---------------------------------------------------------------------------
