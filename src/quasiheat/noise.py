@@ -8,7 +8,8 @@ field with mode variance dt*K_hat(k), and every later one is zero.
 Increments are never stored but regenerated from a counter-based stream
 keyed by (master_seed, step), so any step can be resampled bit-exactly in
 any order or block (``NoisePath.increments``), and paths built from one
-spec agree bit for bit.  A path object is not thread-safe: one per thread.
+spec agree bit for bit.  A path is not thread-safe; ``NoisePath.stream`` draws
+ahead in forked workers, one per usable core, each with its own copy of it.
 The mode layout, the transforms and the half-spectrum folding belong to
 ``grid.Spectral``; this module owns no frequencies of its own.
 """
@@ -17,6 +18,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import mmap
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +31,8 @@ from .grid import GridSpec, Spectral
 
 NOISE_END = 1.0  # the noise acts on 0 <= t < NOISE_END
 BATCH_MAX_POINTS = 1024  # rows up to this many points batch an interval's transforms
+SLOT_BYTES = 2**20  # a stream slot takes blocks up to this size: one pipe wake-up per slot
+SLOTS_PER_WORKER = 4
 
 
 class NoiseError(ValueError):
@@ -82,7 +88,7 @@ class NoisePath:
 
     Each key re-keys one cached ``Philox`` by setting its fresh state (zero
     counter, empty buffer) with the step as the key's second word: the bits
-    of a new ``Philox(key=...)`` without its cost.  So a path is not thread-safe.
+    of a new ``Philox(key=...)`` without its cost.  Not thread-safe: ``stream`` forks copies.
     """
 
     spec: NoiseSpec
@@ -134,6 +140,76 @@ class NoisePath:
             live += hat
         np.multiply(self._scaled_amp, live, out=live)
         return out
+
+    @property
+    def slot_steps(self) -> int:
+        """Steps per ``stream`` slot: whole blocks dividing ``snap_stride``, within SLOT_BYTES."""
+        steps, row_bytes = self.block_steps, self._amp.size * 16
+        while self.grid.snap_stride % (2 * steps) == 0 and 2 * steps * row_bytes <= SLOT_BYTES:
+            steps *= 2
+        return steps
+
+    @contextmanager
+    def stream(self, n_steps: int):
+        """Iterator of (stop, rows) over steps 0..n_steps-1: rows, read-only and valid until
+        the next item, are the ``increments`` of the ``slot_steps`` (fewer at the end) steps
+        before stop.  Forked workers, one per usable core with its own copy of the path, fill
+        every W-th slot of a shared ring; pipes say slot ready and slot free; all are reaped."""
+        slot, n_slots = self.slot_steps, -(-n_steps // self.slot_steps)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        n_workers = min(cores or 1, n_slots)
+        depth = SLOTS_PER_WORKER * max(n_workers, 1)
+        ring = np.frombuffer(mmap.mmap(-1, depth * slot * self._amp.size * 16), complex)
+        ring = ring.reshape((depth, slot) + self._amp.shape)
+        pids, fds = [], []  # fds: per worker, the "ready" read end and the "free" write end
+        try:
+            for w in range(n_workers):
+                (ready, ready_w), (free_r, free) = os.pipe(), os.pipe()
+                fds += [ready, free]
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the worker: never returns into the caller's frames
+                    try:
+                        for fd in fds:
+                            os.close(fd)
+                        self._fill(ring, range(w * slot, n_steps, n_workers * slot), ready_w, free_r)
+                    finally:
+                        os._exit(0)
+                os.close(ready_w)
+                os.close(free_r)
+            ring.flags.writeable = False
+
+            def items():
+                for i, start in enumerate(range(0, n_steps, slot)):
+                    ready, free = fds[2 * (i % n_workers):2 * (i % n_workers) + 2]
+                    if os.read(ready, 1) != b"+":
+                        error = b"".join(iter(lambda: os.read(ready, 4096), b"")).decode(errors="replace")
+                        raise NoiseError(f"noise worker {i % n_workers} failed: "
+                                         f"{error or f'exited before step {start}'}")
+                    yield min(start + slot, n_steps), ring[i % depth, :n_steps - start]
+                    if i + depth < n_slots:
+                        os.write(free, b"-")
+
+            yield items()
+        finally:
+            for fd in fds:
+                os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
+
+    def _fill(self, ring, starts: range, ready: int, free: int) -> None:
+        """A worker: fill each slot once free, say so; stop at EOF, EPIPE or an error."""
+        slot, block = len(ring[0]), self.block_steps
+        for k, start in enumerate(starts):
+            if k >= SLOTS_PER_WORKER and not os.read(free, 1):
+                return
+            for s in range(start, min(start + slot, starts.stop), block):
+                stop = min(s + block, start + slot, starts.stop)
+                try:
+                    ring[start // slot % len(ring), s - start:stop - start] = self.increments(s, stop)
+                except Exception as exc:
+                    os.write(ready, f"!drawing steps [{s}, {stop}): {exc!r}".encode()[:4000])
+                    return
+            os.write(ready, b"+")
 
     def increment_hat(self, step: int) -> np.ndarray:
         """Half-spectrum of the step's increment (zero from t = NOISE_END on)."""
@@ -208,28 +284,23 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     white_acc = 0.0
     imag_max = 0.0
     prev = None
-    hats = (hat for s in range(0, n_samples, path.block_steps)  # drawn in blocks
-            for hat in path.increments(s, min(s + path.block_steps, n_samples)))
-    for i, hat in enumerate(hats):
-        f = sp.to_phys(hat) * inv_sqrt_dt
-        # realness residue measured on the explicitly mirrored full spectrum
-        if i < 8:
-            full = sp.mirrored_phys(hat)
-            imag_max = max(imag_max, float(np.max(np.abs(full.imag))) * inv_sqrt_dt)
-        for li, lag in enumerate(lags):
-            acc[li] += float(np.mean(f * np.roll(f, -lag, axis=0)))
-        sym = max(
-            sym,
-            float(np.max(np.abs(
-                np.mean(f * np.roll(f, -1, axis=0)) - np.mean(f * np.roll(f, 1, axis=0))
-            ))),
-        )
-        prod0 = f * np.roll(f, -1, axis=0)
-        anchor_acc += prod0
-        anchor_sq += prod0 * prod0
-        if prev is not None:
-            white_acc += float(np.mean(prev * f))
-        prev = f
+    with path.stream(n_samples) as blocks:
+        for i, hat in enumerate(hat for _, rows in blocks for hat in rows):
+            f = sp.to_phys(hat) * inv_sqrt_dt
+            # realness residue measured on the explicitly mirrored full spectrum
+            if i < 8:
+                full = sp.mirrored_phys(hat)
+                imag_max = max(imag_max, float(np.max(np.abs(full.imag))) * inv_sqrt_dt)
+            for li, lag in enumerate(lags):
+                acc[li] += float(np.mean(f * np.roll(f, -lag, axis=0)))
+            asym = np.mean(f * np.roll(f, -1, axis=0)) - np.mean(f * np.roll(f, 1, axis=0))
+            sym = max(sym, float(np.max(np.abs(asym))))
+            prod0 = f * np.roll(f, -1, axis=0)
+            anchor_acc += prod0
+            anchor_sq += prod0 * prod0
+            if prev is not None:
+                white_acc += float(np.mean(prev * f))
+            prev = f
 
     emp = acc / n_samples
     rel = np.abs(emp - k_an) / np.abs(k_an)

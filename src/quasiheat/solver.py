@@ -1,8 +1,8 @@
 """Time integration of the quasilinear equation and its linear models.
 
 Three equations share one noise path, and one engine advances any mix of
-them in a single sweep over the steps, fetching each snapshot interval's
-increments in one block (``NoisePath.increments``):
+them in a single sweep while ``NoisePath.stream``'s forked workers, one per
+usable core with its own copy of the path, draw the increments of the next steps:
 
 * nonlinear:   du/dt = div A(grad u) + xi
 * heat:        dv/dt = Lap v + xi
@@ -142,19 +142,18 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
                 grad[row - span.start] = sp.gradient_phys(hat)
 
     snapshot(0)
-    block = path.block_steps
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        for dw in path.increments(start, stop):
-            for f in flux:
-                g = sp.gradient_phys(h[f])
-                h[f] += dt * sp.divergence_hat(A.ev(g) - g)
-            np.multiply(decay, h, out=h)
-            h += dw
-        if stop % grid.snap_stride == 0:
-            if not np.all(np.isfinite(h)):
-                raise SolverDivergenceError(stop - 1)
-            snapshot(stop // grid.snap_stride)
+    with path.stream(n_steps) as increments:
+        for stop, rows in increments:
+            for dw in rows:
+                for f in flux:
+                    g = sp.gradient_phys(h[f])
+                    h[f] += dt * sp.divergence_hat(A.ev(g) - g)
+                np.multiply(decay, h, out=h)
+                h += dw
+            if stop % grid.snap_stride == 0:
+                if not np.all(np.isfinite(h)):
+                    raise SolverDivergenceError(stop - 1)
+                snapshot(stop // grid.snap_stride)
 
     return [
         Trajectory(None if state is None else SpaceTimeField(grid, times, state),

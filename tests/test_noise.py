@@ -1,8 +1,12 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from quasiheat.grid import GridSpec, Spectral
 from quasiheat.noise import (
+    BATCH_MAX_POINTS,
     NoiseError,
     NoisePath,
     NoiseSpec,
@@ -173,12 +177,19 @@ def test_diagnostics_requires_enough_samples():
 # blocks
 # ---------------------------------------------------------------------------
 
+def one_step_block_grid() -> GridSpec:
+    """d = 2, n = 64: one-step blocks, 4 to a slot; a coarse dt keeps t = 1 near."""
+    return GridSpec(dim=2, n=64, t_end=1.25, dt=2.0**-10, snap_stride=4)
+
+
 @pytest.mark.parametrize("dim,n,substeps,sigma", [
     (1, 64, 1, 1.0), (1, 32, 2, 1.0), (1, 32, 3, 1.0),
-    (2, 16, 1, 1.0), (2, 16, 3, 1.0), (1, 32, 1, 0.0), (2, 16, 2, 0.0),
+    (2, 16, 1, 1.0), (2, 16, 3, 1.0), (1, 32, 1, 0.0), (2, 16, 2, 0.0), (2, 64, 2, 1.0),
 ])
 def test_block_rows_are_the_bytes_of_increment_hat(dim, n, substeps, sigma):
     grid = GridSpec.create(dim, n, t_end=1.25)
+    if n**dim > BATCH_MAX_POINTS:
+        grid = one_step_block_grid()
     spec = NoiseSpec(alpha=0.75, dim=dim, sigma=sigma, master_seed=4)
     path = NoisePath(spec, grid, substeps=substeps)
     end = int(round(1.0 / grid.dt))  # the first step with t >= 1
@@ -190,6 +201,81 @@ def test_block_rows_are_the_bytes_of_increment_hat(dim, n, substeps, sigma):
             assert row.tobytes() == path.increment_hat(step).tobytes()
     assert np.any(path.increments(end - 1, end + 1)[0]) == (sigma > 0)
     assert not np.any(path.increments(end - 1, end + 1)[1])
+    # the stream: in step order, whole slots but the last; straddling t = 1
+    # and ending mid-slot, then whole slots
+    assert (end + 30) % path.slot_steps
+    for n_steps in (end + 30, 2 * path.slot_steps):
+        step = 0
+        with path.stream(n_steps) as items:
+            for stop, rows in items:
+                assert len(rows) == min(path.slot_steps, n_steps - step) and stop == step + len(rows)
+                for row in rows:
+                    assert row.tobytes() == path.increment_hat(step).tobytes()
+                    step += 1
+        assert step == n_steps
+
+
+def test_slot_steps_are_whole_blocks_dividing_the_stride_within_the_byte_cap():
+    assert make_path(n=64)[1].slot_steps == 64  # one 64-step block
+    assert make_path(n=64, dim=2)[1].slot_steps == 16  # 16 one-step blocks of 33 KiB
+    path = NoisePath(NoiseSpec(alpha=0.75, dim=2, master_seed=1), one_step_block_grid())
+    assert (path.block_steps, path.slot_steps) == (1, 4)
+
+
+def test_more_workers_than_cores_keep_every_byte_in_order(monkeypatch):
+    # 5 workers, likely more than the cores: every ring slot is reused, every credit cycles
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    path = make_path(n=32)[1]
+    n_steps = 23 * path.slot_steps + 7
+    got = []
+
+    def stalled(signum, frame):
+        raise TimeoutError("the stream stalled")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        with path.stream(n_steps) as items:
+            for stop, rows in items:
+                got.append(rows.copy())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.concatenate(got).tobytes() == path.increments(0, n_steps).tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_error_names_its_step_and_every_worker_is_reaped(monkeypatch):
+    path = NoisePath(NoiseSpec(alpha=0.75, dim=2, master_seed=1), one_step_block_grid())
+    inner = NoisePath.increments
+
+    def failing(self, start, stop):
+        if start <= 37 < stop:
+            raise FloatingPointError("bad draw")
+        return inner(self, start, stop)
+
+    monkeypatch.setattr(NoisePath, "increments", failing)
+    seen = []
+    with pytest.raises(NoiseError, match=r"steps \[37, 38\): FloatingPointError\('bad draw'\)"):
+        with path.stream(100) as items:
+            for stop, _ in items:
+                seen.append(stop)
+    assert seen == [4, 8, 12, 16, 20, 24, 28, 32, 36]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 64)])
+def test_a_consumer_error_mid_stream_reaps_every_worker(dim, n):
+    path = make_path(n=n, dim=dim)[1]
+    with pytest.raises(KeyError):
+        with path.stream(path.grid.n_steps) as items:
+            for stop, _ in items:
+                if stop > 3 * path.slot_steps:
+                    raise KeyError(stop)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_block_steps_batch_small_rows_only():

@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -245,24 +246,36 @@ def test_linear_flux_member_matches_reference(dim):
         assert _bits_equal(traj.gradient.values, grad)
 
 
-def _counting_increments(monkeypatch) -> list:
-    """Record the step of every increment any path makes from now on."""
-    calls = []
+def _counting_increments(monkeypatch, tmp_path):
+    """Record the step of every increment any path makes from now on, in this
+    process or in a stream's forked workers: a line per step appended to the
+    returned log."""
+    log = tmp_path / "steps"
+    log.write_text("")
     inner = NoisePath.increments
 
     def counted(self, start, stop):
-        calls.extend(range(start, stop))
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, "".join(f"{s}\n" for s in range(start, stop)).encode())
+        finally:
+            os.close(fd)
         return inner(self, start, stop)
 
     monkeypatch.setattr(NoisePath, "increments", counted)
-    return calls
+    return log
 
 
-def test_shared_sweep_fetches_each_increment_once(monkeypatch):
+def _drawn(log) -> list:
+    """The logged steps as a sorted multiset: workers draw concurrently."""
+    return sorted(int(line) for line in log.read_text().split())
+
+
+def test_shared_sweep_fetches_each_increment_once(monkeypatch, tmp_path):
     grid, path, A = setup(n=32)
-    calls = _counting_increments(monkeypatch)
+    log = _counting_increments(monkeypatch, tmp_path)
     solve_anisotropic_batch(path, [A, None, np.array([[0.6]])])
-    assert calls == list(range(grid.n_steps))
+    assert _drawn(log) == list(range(grid.n_steps))
 
 
 def test_sweep_rejects_a_second_flux_member():
@@ -299,15 +312,15 @@ def test_windowed_members_match_full_run_and_reference(name, flux_at):
         assert _bits_equal(traj.gradient.times, whole.gradient.times[keep or slice(None)])
 
 
-def test_windowed_sweep_stops_after_the_last_kept_row(monkeypatch):
+def test_windowed_sweep_stops_after_the_last_kept_row(monkeypatch, tmp_path):
     grid, path, A = setup(n=32)
-    calls = _counting_increments(monkeypatch)
+    log = _counting_increments(monkeypatch, tmp_path)
     stride = grid.snap_stride
     solve_anisotropic_batch(path, [A, np.array([[0.6]])], [slice(2, 4), slice(0, 6)])
-    assert calls == list(range(5 * stride))
-    calls.clear()
+    assert _drawn(log) == list(range(5 * stride))
+    log.write_text("")
     solve_anisotropic_batch(path, [np.array([[0.6]])], [slice(0, 1)])
-    assert calls == []
+    assert _drawn(log) == []
 
 
 def test_windowed_rows_rejected_unless_a_nonempty_run():
@@ -341,4 +354,6 @@ def test_non_finite_initial_state_raises_at_the_first_snapshot_kept_or_not(rows,
     with pytest.raises(SolverDivergenceError) as exc:
         solve_anisotropic_batch(path, [np.array([[0.6]])], [slice(4, 6)])
     assert exc.value.step == 3 * stride - 1
+    with pytest.raises(ChildProcessError):  # every worker of both sweeps is reaped
+        os.waitpid(-1, os.WNOHANG)
 
