@@ -19,6 +19,11 @@ grid, report, output directory, timing, report files) and calls the body of
 the experiment from ``EXPERIMENTS``, which only adds checks, metrics and
 artifacts.  Reports are deterministic functions of (config, seed): artifact
 bytes are reproducible, wall-clock lives in a sidecar.
+
+``lemmas`` and ``apriori-sweep`` run their n -> 2n refinement pass in one forked
+child beside the base pass (``_side_by_side``), which needs ``os.fork`` as the
+noise stream does.  The child shares the parent's pages copy-on-write and adds
+the 2n pass's own arrays; ``run_meta.json`` gives ``children_maxrss_mb``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import pickle
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -366,9 +374,53 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report.wallclock_s = time.time() - t_start
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.body_json())
+    # KiB on Linux: the largest reaped child so far (a noise worker or a 2n pass)
+    children_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6
     (out / "run_meta.json").write_text(_json({"wallclock_s": report.wallclock_s,
+                                              "children_maxrss_mb": children_mb,
                                               "config": cfg.to_dict()}))
     return report
+
+
+def _side_by_side(units: list) -> list:
+    """``[unit() for unit in units]``, each unit but the last run in a forked child
+    that pickles its result or exception (raised here as it was) into a pipe.  Every
+    child is reaped on every exit path; one left writing to a closed pipe ends on EPIPE."""
+    reads, pids = [], []
+    try:
+        for unit in units[:-1]:
+            r, w = os.pipe()
+            reads.append(r)
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child: never returns into the caller's frames
+                try:
+                    for fd in reads:
+                        os.close(fd)
+                    try:
+                        data = pickle.dumps((True, unit()))
+                    except Exception as exc:
+                        data = pickle.dumps((False, exc))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+        last = units[-1]()
+        results = []
+        for r in reads:
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            if not data:
+                raise ChildProcessError("a side-by-side pass exited without its result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results + [last]
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _model_rows(grad: SpaceTimeField, z, r_max: float) -> slice:
@@ -708,7 +760,13 @@ def _lemma_constants(cfg: ExperimentConfig, grid: GridSpec, seeds: List[int]) ->
 
 def _lemmas(run: _Run) -> None:
     cfg, report, p = run.cfg, run.report, run.cfg.params
-    res_n = _lemma_constants(cfg, run.grid, run.seeds)
+    # refinement stability is judged on the deterministic corpus, which is the
+    # same analytic data at both resolutions; no field is simulated at 2n, and
+    # the 2n pass reads nothing of the n pass, so it runs in a child beside it
+    units = [lambda: _lemma_constants(cfg, run.grid, run.seeds)]
+    if p["refine"]:
+        units.insert(0, lambda: _lemma_constants(cfg, cfg.build_grid(refine=2), []))
+    *refined, res_n = _side_by_side(units)
     cap = p["constant_cap"]
     for name in _LEMMA_FAMILIES:
         val = max(res_n["constants"][name], res_n["sim_constants"][name])
@@ -720,17 +778,12 @@ def _lemmas(run: _Run) -> None:
                        detail="affine/quadratic corpus entries")
 
     refine = {}
-    if p["refine"]:
-        # refinement stability is judged on the deterministic corpus, which is
-        # the same analytic data at both resolutions; no field is simulated at 2n
-        res_2n = _lemma_constants(cfg, cfg.build_grid(refine=2), [])
+    for res_2n in refined:
         for name in _LEMMA_FAMILIES:
             val = res_n["constants"][name]
             v2 = res_2n["constants"][name]
-            if val <= p["zero_tol"] and v2 <= p["zero_tol"]:
-                change = 0.0
-            elif val <= p["zero_tol"]:
-                change = float("inf")
+            if val <= p["zero_tol"]:
+                change = 0.0 if v2 <= p["zero_tol"] else float("inf")
             else:
                 change = abs(v2 - val) / val
             refine[name] = {"n": val, "2n": v2, "rel_change": change}
@@ -761,15 +814,27 @@ def _apriori_sweep(run: _Run) -> None:
     sigmas = [float(s) for s in p["sigmas"]]
     rows = []
     failures = []
-    for seed in run.seeds:
-        for sigma in sigmas:
-            path = cfg.build_noise_path(grid, seed, sigma=sigma)
-            try:
-                _, seminorms = _solve_u_v(path, A, reg)
-            except SolverDivergenceError as exc:
-                failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
-                continue
-            rows.append({"seed": seed, "sigma": sigma, **seminorms})
+
+    def sweep():
+        for seed in run.seeds:
+            for sigma in sigmas:
+                path = cfg.build_noise_path(grid, seed, sigma=sigma)
+                try:
+                    _, seminorms = _solve_u_v(path, A, reg)
+                except SolverDivergenceError as exc:
+                    failures.append({"seed": seed, "sigma": sigma, "error": str(exc)})
+                    continue
+                rows.append({"seed": seed, "sigma": sigma, **seminorms})
+
+    def refined():  # the first seed at sigma = 1 at 2n; a divergence is raised only with a base
+        path2 = cfg.build_noise_path(cfg.build_grid(refine=2), run.seeds[0], sigma=1.0)
+        try:
+            (u2,) = solve_anisotropic_batch(path2, [_model_member(A)], rows=[slice(None)])
+        except SolverDivergenceError as exc:
+            return exc
+        return holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
+
+    su2 = _side_by_side([refined, sweep] if p["refine"] else [sweep])[0]  # read when refining
 
     by_seed = {}
     for row in rows:
@@ -806,9 +871,8 @@ def _apriori_sweep(run: _Run) -> None:
     # the first seed at sigma = 1 against the same run at n -> 2n
     base = [r for r in rows if r["seed"] == run.seeds[0] and r["sigma"] == 1.0]
     if p["refine"] and base:
-        path2 = cfg.build_noise_path(cfg.build_grid(refine=2), run.seeds[0], sigma=1.0)
-        (u2,) = solve_anisotropic_batch(path2, [_model_member(A)], rows=[slice(None)])
-        su2 = holder_seminorm(u2.gradient, alpha, pair_budget=reg.pair_budget)
+        if isinstance(su2, SolverDivergenceError):
+            raise su2
         ratio = su2 / base[0]["grad_u"] if base[0]["grad_u"] > 0 else float("inf")
         cap = p["refine_ratio_cap"]
         report.add_check("refinement_stability", 1.0 / cap <= ratio <= cap, ratio,

@@ -57,6 +57,9 @@ class SolverDivergenceError(SolverError):
         )
         self.step = step
 
+    def __reduce__(self):  # pickled by its step, not its message
+        return type(self), (self.step,)
+
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -330,9 +330,14 @@ run_experiment(cfg)
 assert "scipy.optimize" not in sys.modules, "loaded by a d = 1 lemmas run"
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    # the 2n corpus pass runs in a forked child: every process writes its imports to stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=600)
     assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert not [m for m in imported if m.startswith("scipy.optimize")]
 
 
 def test_no_run_imports_scipy():

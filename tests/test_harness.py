@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from quasiheat.grid import GridSpec
 from quasiheat.harness import (
     ConfigError,
     ExperimentConfig,
+    _side_by_side,
     draw_basepoints,
     run_experiment,
     validate_config,
@@ -232,6 +236,7 @@ def test_run_experiment_writes_report_meta_and_listed_artifacts(tmp_path, experi
     assert "wallclock" not in body
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["wallclock_s"] == report.wallclock_s > 0
+    assert meta["children_maxrss_mb"] > 0 and "maxrss" not in body  # every run forks
     assert meta["config"] == cfg.to_dict()
 
 
@@ -380,13 +385,19 @@ def test_cli_apriori_and_lemmas(tmp_path, capsys):
 
 def test_refined_lemma_run_solves_once_per_seed_on_the_base_grid(tmp_path, monkeypatch):
     # the n -> 2n check compares corpus constants: no field is simulated at 2n
+    # (the 2n pass runs in a forked child: each call appends its grid to a file)
     import quasiheat.harness as harness
 
-    grids = []
+    log = tmp_path / "grids"
+    log.write_text("")
     inner = harness.solve_anisotropic_batch
 
     def counted(path, *args, **kwargs):
-        grids.append(path.grid)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, f"{path.grid!r}\n".encode())
+        finally:
+            os.close(fd)
         return inner(path, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_anisotropic_batch", counted)
@@ -396,7 +407,7 @@ def test_refined_lemma_run_solves_once_per_seed_on_the_base_grid(tmp_path, monke
         "output_dir": str(tmp_path)})
     report = run_experiment(cfg)
     assert set(report.metrics["refinement"]) == set(harness._LEMMA_FAMILIES)
-    assert grids == [cfg.build_grid()] * 2
+    assert log.read_text().splitlines() == [repr(cfg.build_grid())] * 2
 
 
 def test_unknown_params_and_regularity_keys_rejected():
@@ -703,6 +714,103 @@ def test_a_diverging_seed_gives_its_own_error(tmp_path, monkeypatch):
     assert not check["passed"]
     # seed 1's results are those of a run without seed 2
     assert report["metrics"]["seminorms"]["1"] == clean["metrics"]["seminorms"]["1"]
+
+
+# ---- the side-by-side passes: every child is reaped on every exit path
+
+
+def _within_a_minute(call):
+    """``call()``, failing the test if it stalls."""
+    def stalled(signum, frame):
+        raise TimeoutError("a side-by-side pass stalled")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_side_by_side_results_come_back_in_unit_order():
+    got = _within_a_minute(lambda: _side_by_side(
+        [lambda: ("a", os.getpid()), lambda: ("b", os.getpid()), lambda: ("c", os.getpid())]))
+    assert [name for name, _ in got] == ["a", "b", "c"]
+    assert got[2][1] == os.getpid() and len({pid for _, pid in got}) == 3
+
+
+def test_side_by_side_raises_a_childs_error_as_it_was():
+    def child():
+        raise ValueError("x")
+
+    with pytest.raises(ValueError) as info:
+        _within_a_minute(lambda: _side_by_side([child, lambda: 1]))
+    assert type(info.value) is ValueError and info.value.args == ("x",)
+
+
+def test_side_by_side_child_that_dies_without_its_result_is_an_error():
+    with pytest.raises(ChildProcessError, match="without its result"):
+        _within_a_minute(lambda: _side_by_side([lambda: os._exit(3), lambda: 1]))
+
+
+def test_side_by_side_divergence_keeps_its_step():
+    from quasiheat.solver import SolverDivergenceError
+
+    def child():
+        raise SolverDivergenceError(7)
+
+    with pytest.raises(SolverDivergenceError) as info:
+        _within_a_minute(lambda: _side_by_side([child, lambda: 1]))
+    assert info.value.step == 7 and str(info.value) == str(SolverDivergenceError(7))
+
+
+@pytest.mark.parametrize("payload", [0, 100_000])  # 800 KB: more than a pipe holds
+def test_side_by_side_parent_error_while_the_child_runs(payload):
+    def child():
+        time.sleep(0.3)
+        return np.arange(payload)
+
+    def parent():
+        raise RuntimeError("parent")
+
+    with pytest.raises(RuntimeError, match="parent"):
+        _within_a_minute(lambda: _side_by_side([child, parent]))
+
+
+def test_side_by_side_takes_a_child_result_larger_than_a_pipe():
+    got = _within_a_minute(lambda: _side_by_side([lambda: np.arange(100_000.0), lambda: 1]))
+    assert got[0].tobytes() == np.arange(100_000.0).tobytes() and got[1] == 1
+
+
+def test_apriori_drops_the_2n_pass_when_its_base_sweep_diverges(tmp_path, monkeypatch):
+    # seed 1 at sigma = 1 diverges at n and at 2n: there is no base to compare with,
+    # so the 2n child's divergence is discarded as if it had never run
+    from quasiheat.noise import NoisePath
+
+    inner = NoisePath.increments
+
+    def poisoned(self, start, stop):
+        dw = inner(self, start, stop)
+        if self.spec.master_seed == 1 and self.spec.sigma == 1.0 and start <= 40 < stop:
+            dw[40 - start, 3] = np.nan
+        return dw
+
+    monkeypatch.setattr(NoisePath, "increments", poisoned)
+    bodies = []
+    for refine in (True, False):
+        cfg = ExperimentConfig.from_dict(dict(
+            _TINY["apriori-sweep"], experiment="apriori-sweep", seeds=[1, 2],
+            params=dict(_TINY["apriori-sweep"]["params"], refine=refine),
+            output_dir=str(tmp_path / "out")))
+        report = _within_a_minute(lambda: run_experiment(cfg))
+        bodies.append({k: v for k, v in report.body_dict().items()
+                       if k not in ("config_hash", "parameters")})
+    assert bodies[0] == bodies[1]
+    failed = json.loads(next(c for c in bodies[0]["checks"] if c["name"] == "sweep_completed")["detail"])
+    assert [(f["seed"], f["sigma"]) for f in failed] == [(1, 1.0)]
 
 
 def test_a_run_rejects_what_validate_config_rejects(tmp_path, monkeypatch, capsys):
