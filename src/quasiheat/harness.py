@@ -899,6 +899,8 @@ def _check_theorem1(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams
 
 def _check_lemmas(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
     _check_radii(grid, reg, bool(_small_radii(reg.radii)), "lemmas needs a radius r <= 1/8 with 3r < 1/2")
+    if reg.pair_budget < 10:  # its box seminorms take pair_budget // 10
+        raise ConfigError(f"lemmas needs regularity.pair_budget >= 10, got {reg.pair_budget}")
 
 
 def _check_radii(grid: GridSpec, reg: RegularityParams, enough: bool, rule: str) -> None:

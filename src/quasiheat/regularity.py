@@ -13,8 +13,9 @@ produces numbers that discretize sup-type quantities:
   baseline oscillation it is contrasted with.
 
 Sup norms over cylinders are exact over the grid samples, in d = 1 and d = 2;
-seminorms are stratified-sampled with a pair budget and are certified lower
-bounds of the discrete sup.  All sampling is deterministic given the parameters.
+seminorms are exact over every grid pair when a field or box has few enough
+samples for the pair budget, and otherwise stratified-sampled lower bounds of
+the discrete sup.  All sampling is deterministic given the parameters.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class RegularityParams:
     def __post_init__(self):
         if not (0.5 < self.alpha < 1.0):
             raise RegularityError("alpha must lie in (1/2, 1): second differences gain requires 2*alpha > 1")
+        for key in ("pair_budget", "y_budget"):
+            if getattr(self, key) < 1:
+                raise RegularityError(f"{key} must be at least 1, got {getattr(self, key)}")
         radii = np.sort(np.asarray(self.radii, dtype=float))
         if len(radii) == 0:
             raise RegularityError("empty radius set")
@@ -105,34 +109,15 @@ class RegularityParams:
 # Hoelder seminorm
 # ---------------------------------------------------------------------------
 
-def _lead(s) -> int:
-    """The first nonzero component of s, or 0."""
-    return next((c for c in s if c), 0)
-
-
-def _pair_classes(
-    dim: int, n_space: int, n_time: int, dx: float, snap_dt: float, exhaustive: bool, signed: bool
-):
-    """Offset classes (time shift in snapshots, signed spatial shift vector in nodes).
-
-    A same-time class is listed once, as one of s and -s.  Spatial shifts
-    are taken modulo the torus in the full-field case, so the exhaustive
-    listing of components in [0, n) covers both signs there, and of s and -s
-    (mod n) it keeps the lexicographically smaller; on a box (``signed``) the
-    negative components are listed explicitly, and it keeps whichever of s
-    and -s has a positive first nonzero component.  The dyadic listing
-    scales the directions in {-1, 0, 1}^d and adds the negative shift for the
-    mixed space-time classes, where the sign is not redundant.
+def _dyadic_classes(dim: int, n_space: int, n_time: int, dx: float, snap_dt: float):
+    """Offset classes (time shift in snapshots, signed spatial shift vector in
+    nodes) on dyadic scales: the directions in {-1, 0, 1}^d with a positive
+    first nonzero component, scaled by 1, 2, 4, ..., each also at its
+    parabolically matched time shift with both signs (the sign is not
+    redundant there), then the time shifts 1, 2, 4, ...
     """
     classes = []
-    if exhaustive:
-        lo = -(n_space - 1) if signed else 0
-        for s in itertools.product(range(lo, n_space), repeat=dim):
-            if _lead(s) > 0 and (signed or s <= tuple(-c % n_space for c in s)):
-                classes.append((0, s))
-            classes += [(st, s) for st in range(1, n_time)]
-        return classes
-    units = [v for v in itertools.product((-1, 0, 1), repeat=dim) if _lead(v) > 0]
+    units = [v for v in itertools.product((-1, 0, 1), repeat=dim) if v > (0,) * dim]
     sx = 1
     while sx <= max(n_space // 2, 1):
         st_par = int(round((sx * dx) ** 2 / snap_dt))
@@ -149,6 +134,24 @@ def _pair_classes(
     return classes
 
 
+def _pair_table(coords: np.ndarray, wrap: int) -> tuple:
+    """Every ordered pair (anchor, partner) of the nodes at integer ``coords``
+    (a row each), sorted by class: the |shift| vector, per axis
+    min(s mod n, n - s mod n) on a torus of ``wrap`` = n nodes, else |s|.
+    Returns anchor and partner indices into ``coords``, each class's start
+    in the table and the classes, the zero shift first."""
+    m, dim = coords.shape
+    anchor, partner = np.divmod(np.arange(m * m), m)
+    shift = np.abs(coords[partner] - coords[anchor])
+    if wrap:
+        shift = np.minimum(shift, wrap - shift)
+    key = np.ravel_multi_index(tuple(shift.T), (int(shift.max()) + 1,) * dim)  # 0 for 0
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+    return anchor[order], partner[order], starts, shift[order[starts]]
+
+
 def holder_seminorm(
     f: SpaceTimeField,
     alpha: float,
@@ -157,19 +160,23 @@ def holder_seminorm(
 ) -> float:
     """Discrete parabolic Hoelder seminorm sup |f(z)-f(z')| / d(z,z')^alpha.
 
-    Pairs are enumerated by offset classes (spatial and temporal shifts on
-    dyadic scales, plus the parabolically matched mixed classes); within a
-    class every anchor is used, decimated by a deterministic time-axis
-    stride when the count exceeds the budget.  Falls back to full offset
-    enumeration when the field is small enough, making the estimate
-    exhaustive over grid pairs.
+    With n_anchors^2 <= 8 * pair_budget it is exact over every grid pair: a
+    pair table lists every ordered pair of nodes (every node of the torus, the
+    in-ball nodes of a box) sorted by class, the |shift| vector, and each time
+    shift st reduces |f(t + st, partner) - f(t, anchor)|, gathered in chunks,
+    to a max per pair, then per class (``np.maximum.reduceat``).  Otherwise
+    pairs are enumerated by offset classes on dyadic scales, decimated on the
+    torus by a deterministic time-axis stride beyond the budget: a lower bound.
 
-    A class shares one distance, so it is reduced once: the max of |f(z)-f(z')|
-    over its pairs and components, divided by d^alpha.  That is the max of
-    the per-pair ratios bit for bit, since correctly rounded division by a
-    positive constant is monotone, and the max over components, then over
-    anchors, is the max over all entries.
+    A class shares one distance, so it is reduced once: the max of
+    |f(z)-f(z')| over its pairs and components, divided by d^alpha.  That is
+    the max of the per-pair ratios bit for bit, since correctly rounded
+    division by a positive constant is monotone, and the max over components,
+    then over anchors, is the max over all entries.  The table holds the
+    same-time pairs in both orientations, and |a - b| = |b - a|.
     """
+    if pair_budget < 1:
+        raise RegularityError(f"pair_budget must be at least 1, got {pair_budget}")
     grid = f.grid
     dim = grid.dim
     if region is None:
@@ -178,19 +185,43 @@ def holder_seminorm(
         win = cylinder_window(f, region)
         vals = win.take_box(f.values)
     n_time, n_space = vals.shape[:2]
-    n_anchors = int(np.prod(vals.shape[: 1 + dim]))
+    n_nodes = n_space**dim
+    n_anchors = n_time * n_nodes
     if n_anchors < 2:
         raise RegularityError("need at least two samples in the region")
     snap_dt = grid.snap_dt if n_time > 1 else 1.0
 
-    # the offsets of a field or a box are as many as its anchors
-    exhaustive = n_anchors * n_anchors <= pair_budget * 8
-    classes = _pair_classes(
-        dim, n_space, n_time, grid.dx, snap_dt, exhaustive, signed=region is not None
-    )
+    def stride(st):  # the whole field decimates its time axis to the budget
+        return 1 if region is not None else max(1, int(np.ceil((n_time - st) * n_nodes / pair_budget)))
 
     best = 0.0
-    for st, sv in classes:
+    # the offsets of a field or a box are as many as its anchors
+    if n_anchors * n_anchors <= pair_budget * 8:
+        if region is None:
+            coords, nodes = np.indices((n_space,) * dim).reshape(dim, -1).T, np.arange(n_nodes)
+        else:
+            coords, nodes = np.argwhere(win.inball), np.flatnonzero(win.inball)
+        anchor, partner, starts, classes = _pair_table(coords, 0 if region is not None else grid.n)
+        anchor, partner = nodes[anchor], nodes[partner]
+        dx = grid.dx
+        space = [math.hypot(*[s * dx for s in c]) for c in classes.tolist()]
+        flat = vals.reshape(n_time, n_nodes, -1).transpose(0, 2, 1)  # (time, component, node)
+        for st in range(n_time):
+            first = 0 if st else 1  # the zero class, at distance 0 when st = 0
+            if first == len(starts):
+                continue
+            lag = math.sqrt(st * snap_dt) if st else 0.0
+            later, earlier = flat[st :: stride(st)], flat[: n_time - st : stride(st)]
+            p0, step = starts[first], max(1, (1 << 18) // (len(later) * flat.shape[1]))
+            peak = np.concatenate([  # per pair, in gathers of at most 2 MB
+                np.abs(np.take(later, partner[i : i + step], axis=2)
+                       - np.take(earlier, anchor[i : i + step], axis=2)).max(axis=(0, 1))
+                for i in range(p0, len(anchor), step)])
+            top = np.maximum.reduceat(peak, starts[first:] - p0)
+            best = max(best, float((top / [(lag + h) ** alpha for h in space[first:]]).max()))
+        return best
+
+    for st, sv in _dyadic_classes(dim, n_space, n_time, grid.dx, snap_dt):
         if region is None:
             # torus wrap: shift s and s - n give the same pair family
             sd = [min(abs(s) % grid.n, grid.n - abs(s) % grid.n) for s in sv]
@@ -203,12 +234,11 @@ def holder_seminorm(
             continue
         if region is None:
             # decimate the time axis first, then roll only the kept rows
-            stride = max(1, int(np.ceil((n_time - st) * np.prod(vals.shape[1 : 1 + dim]) / pair_budget)))
-            a = vals[st::stride]
+            a = vals[st :: stride(st)]
             for ax, s in enumerate(sv):
                 if s % grid.n:
                     a = np.roll(a, -s, axis=1 + ax)
-            diff = a - vals[: n_time - st : stride]
+            diff = a - vals[: n_time - st : stride(st)]
         else:
             # within a box, shifts are plain slices (|s| <= n_space); both
             # ends of a pair must be in-ball

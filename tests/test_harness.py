@@ -607,6 +607,10 @@ def test_a_smallest_cylinder_too_small_to_fit_is_a_config_error(case, tmp_path, 
     ("noise.alpha=0.4", "alpha"),
     ("regularity.r_min_factor=100", "empty radius set"),
     ("regularity.r_min_factor=0", "at least 1"),
+    # a budget below 1 used to validate; 0 ended the run in an OverflowError
+    ("regularity.pair_budget=-5", "pair_budget must be at least 1"),
+    ("regularity.pair_budget=0", "pair_budget must be at least 1"),
+    ("regularity.y_budget=0", "y_budget must be at least 1"),
     ("nonlinearity.kappa=5", "kappa"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, monkeypatch, capsys, dotted, match):
@@ -669,6 +673,22 @@ def test_validate_config_takes_an_experiment(tmp_path, monkeypatch, capsys):
     assert cli_main(["validate-config", "--config", str(cfg_file)]) == 0
     assert cli_main(["validate-config", "--config", str(cfg_file), "--experiment", "lemmas"]) == 2
 
+
+
+def test_lemmas_rejects_a_pair_budget_too_small_for_its_box_seminorms(tmp_path, monkeypatch,
+                                                                       capsys):
+    # its box seminorms take pair_budget // 10, which was 0 here, and the run
+    # ended in an OverflowError with exit 1
+    sets = ["--set", "regularity.pair_budget=3"]
+    _no_sweep(monkeypatch)
+    for argv in (["validate-config", "--experiment", "lemmas"], ["lemmas", "--seed", "1"]):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv + sets) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "regularity.pair_budget >= 10" in err
+        assert not list(tmp_path.iterdir())
+    assert cli_main(["validate-config", "--experiment", "lemmas",
+                     "--set", "regularity.pair_budget=10"]) == 0
 
 
 def test_seed_outside_the_philox_key_word_is_a_config_error(tmp_path, capsys):

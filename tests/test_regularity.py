@@ -24,7 +24,7 @@ from quasiheat.nonlinearity import freeze, linear_family, sine_family
 from quasiheat.regularity import (
     RegularityError,
     RegularityParams,
-    _pair_classes,
+    _pair_table,
     baseline_remainder,
     flux_mismatch,
     holder_seminorm,
@@ -128,16 +128,28 @@ def test_seminorm_spacetime_matches_all_pairs_oracle(case):
     assert est == pytest.approx(oracle_seminorm(f, 0.75, region), rel=1e-13)
 
 
-def test_exhaustive_torus_lists_each_same_time_class_once():
-    # s and -s (mod n) are one class: the 63 nonzero shifts of Z_8^2 make 30
-    # pairs and 3 self-inverse shifts, (0, 4), (4, 0) and (4, 4)
+def test_exhaustive_torus_table_holds_each_ordered_pair_once():
+    # Z_8^2 has 64^2 ordered node pairs in 25 classes, the |shift| vectors
+    # (min(s, 8 - s) per axis) in {0, ..., 4}^2; a class with k components
+    # strictly between 0 and 4 holds 64 * 2^k pairs
     grid = GridSpec.create(2, 8)
-    classes = _pair_classes(2, 8, 1, grid.dx, 1.0, exhaustive=True, signed=False)
-    same_time = [s for st, s in classes if st == 0]
-    assert len(same_time) == len({min(s, tuple(-c % 8 for c in s)) for s in same_time}) == 33
+    coords = np.indices((8, 8)).reshape(2, -1).T
+    anchor, partner, starts, classes = _pair_table(coords, 8)
+    assert np.array_equal(np.sort(anchor * 64 + partner), np.arange(64 * 64))
+    assert classes[0].tolist() == [0, 0]
+    assert sorted(classes.tolist()) == [[i, j] for i in range(5) for j in range(5)]
+    sizes = np.diff(np.r_[starts, 64 * 64])
+    assert sizes.tolist() == [64 * 2 ** sum(0 < c < 4 for c in cl) for cl in classes.tolist()]
+    shift = np.abs(coords[partner] - coords[anchor])
+    assert np.array_equal(np.minimum(shift, 8 - shift), np.repeat(classes, sizes, axis=0))
     vals = np.random.default_rng(5).normal(size=(1, 8, 8))
     f = SpaceTimeField(grid, grid.snapshot_times()[:1], vals)
     assert holder_seminorm(f, 0.75) == pytest.approx(oracle_seminorm(f, 0.75), rel=1e-13)
+    # the sup is on a pair that straddles the seam, one node apart
+    vals = np.zeros((1, 8, 8))
+    vals[0, 0, 0], vals[0, 7, 0] = 1.0, -1.0
+    f = SpaceTimeField(grid, grid.snapshot_times()[:1], vals)
+    assert holder_seminorm(f, 0.75) == 2.0 / grid.dx**0.75
 
 
 def test_seminorm_budget_is_lower_bound():
@@ -150,6 +162,16 @@ def test_seminorm_budget_is_lower_bound():
     full = holder_seminorm(f, 0.75, pair_budget=10**8)
     capped = holder_seminorm(f, 0.75, pair_budget=2000)
     assert capped <= full + 1e-12
+
+
+def test_budgets_below_one_are_rejected():
+    # a pair budget of 0 used to end in an OverflowError at the time stride
+    _, f = static_field(64, lambda x: np.sin(2 * np.pi * x))
+    with pytest.raises(RegularityError, match="pair_budget"):
+        holder_seminorm(f, 0.75, pair_budget=0)
+    for key in ("pair_budget", "y_budget"):
+        with pytest.raises(RegularityError, match=key):
+            RegularityParams(alpha=0.75, radii=[0.125], **{key: 0})
 
 
 def test_seminorm_monotone_under_region_inclusion():
@@ -676,6 +698,16 @@ def _roll_then_stride_seminorm(f, alpha, pair_budget):
     (2, 16, 65, (2,), 2_000, False),
     (2, 16, 65, (2,), 100_000, False),
     (2, 4, 3, (2,), 100_000, False),
+    # the pair table at several time shifts
+    (1, 16, 9, (1,), 100_000, False),
+    (2, 8, 3, (2,), 100_000, False),
+    (1, 8, 5, (), 100_000, True),  # the sup sits on the zero spatial shift
+    # more pairs than one 2 MB gather holds
+    (1, 512, 1, (2,), 100_000, False),
+    (1, 256, 3, (2,), 100_000, False),
+    # n_anchors^2 = 144^2 = 8 * 2592: the table, then the dyadic listing
+    (1, 16, 9, (), 2592, False),
+    (1, 16, 9, (), 2591, False),
 ])
 def test_whole_field_seminorm_strides_before_rolling(dim, n, n_time, comps, budget, time_only):
     grid = GridSpec.create(dim, n)
@@ -687,6 +719,17 @@ def test_whole_field_seminorm_strides_before_rolling(dim, n, n_time, comps, budg
     f = SpaceTimeField(grid, np.arange(n_time) * grid.snap_dt, vals)
     got = holder_seminorm(f, 0.75, pair_budget=budget)
     assert got == _roll_then_stride_seminorm(f, 0.75, budget) and got > 0.0
+
+
+def test_exhaustive_seminorm_reduces_every_gather():
+    # a smooth field's sup sits on a pair far apart: at n = 512 with two
+    # components, its class (about 136 nodes) lies past the first 2 MB gather
+    grid = GridSpec.create(1, 512)
+    x = 2 * np.pi * np.arange(512) * grid.dx
+    f = SpaceTimeField(grid, np.zeros(1), np.stack([np.sin(x), np.cos(x)], axis=-1)[None])
+    got = holder_seminorm(f, 0.75)
+    assert got == _roll_then_stride_seminorm(f, 0.75, 100_000)
+    assert got == pytest.approx(max(2 * math.sin(math.pi * d) / d**0.75 for d in np.arange(1, 257) / 512))
 
 
 def _masked_box_seminorm(f, alpha, region, pair_budget, second_axis=False):
@@ -780,3 +823,23 @@ def test_box_seminorm_bitwise_matches_masked_ratio_reference(dim, n, comps, budg
         assert want > first
         assert want == pytest.approx(oracle_seminorm(f, 0.75, cyl), rel=1e-13)
     assert got == want and 0.0 < got < 1e6
+
+
+# the box of the lemma suite's seminorms on P_3l at n = 64 and l = 4 dx, 23
+# nodes across, on a static corpus field's one snapshot or on 9 snapshot rows
+@pytest.mark.parametrize("n_time,rows", [(1, 1), (12, 9)])
+@pytest.mark.parametrize("comps", [(), (1,)])
+@pytest.mark.parametrize("budget", [10_000, 20])  # the suite's box budget, then the dyadic listing
+def test_lemma_box_seminorm_bitwise_matches_masked_ratio_reference(n_time, rows, comps, budget):
+    grid = GridSpec.create(1, 64)
+    r = 12 * grid.dx
+    vals = np.random.default_rng(n_time + 5 * len(comps)).standard_cauchy((n_time, 64) + comps)
+    d = np.abs(np.arange(64) * grid.dx - 0.5)
+    vals[:, d >= r - 1e-12] += 1e6  # any pair that reaches off the ball wins
+    f = SpaceTimeField(grid, np.arange(n_time) * grid.snap_dt, vals)
+    cyl = ParabolicCylinder(t=float(f.times[-1]), x=0.5, r=r)
+    assert cylinder_window(f, cyl).take_box(f.values).shape[:2] == (rows, 23)
+    got = holder_seminorm(f, 0.75, region=cyl, pair_budget=budget)
+    assert got == _masked_box_seminorm(f, 0.75, cyl, budget) and 0.0 < got < 1e6
+    if budget == 10_000:
+        assert got == pytest.approx(oracle_seminorm(f, 0.75, cyl), rel=1e-13)
