@@ -6,7 +6,9 @@ time-indexed snapshots.  This module provides the parabolic
 mollification by a compactly supported bump, and the spectral helper that
 owns the rfft mode layout (wavenumbers, symbols, transforms, gradients).
 Everything is periodic; non-periodic analytic test fields are handled by the
-callers keeping their analysis windows away from the seam.
+callers keeping their analysis windows away from the seam.  Lattice geometry
+(balls, shift sets, mollifier kernels) is built once per grid and exact
+radius, cached on its exact arguments, and shared read-only.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ _RFFT, _IRFFT = _direct_transforms()  # grid sizes are powers of two, so n is ev
 
 class GridError(ValueError):
     pass
+
+
+def read_only(*arrays) -> tuple:
+    """The arrays, made read-only in place: a shared array raises on a write."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -156,10 +165,7 @@ class SpaceTimeField:
             raise GridError("snapshot times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise GridError("field values must be finite")
-        tv = times.view()
-        vv = values.view()
-        tv.flags.writeable = False
-        vv.flags.writeable = False
+        tv, vv = read_only(times.view(), values.view())
         object.__setattr__(self, "times", tv)
         object.__setattr__(self, "values", vv)
 
@@ -217,15 +223,17 @@ def _lattice_offsets(dim: int, m: int) -> np.ndarray:
     return np.stack([a.ravel() for a in axes], axis=1)
 
 
+@functools.lru_cache(maxsize=None)  # shared: the shifts are read-only
 def lattice_shifts(grid: GridSpec, max_norm: float, budget: int = None) -> np.ndarray:
-    """Nonzero lattice vectors y with |y| <= max_norm, optionally thinned.
+    """Nonzero lattice vectors y with |y| <= max_norm, optionally thinned;
+    built once per (grid, max_norm, budget).
 
     Thinning keeps a deterministic stride-decimated subset that always
     includes the extreme axis-aligned shifts.
     """
     m = int(math.floor(max_norm / grid.dx + 1e-9))
     if m < 1:
-        return np.zeros((0, grid.dim))
+        return read_only(np.zeros((0, grid.dim)))[0]
     pts = _lattice_offsets(grid.dim, m)
     norms = np.linalg.norm(pts, axis=1)
     # m's own tolerance, so in d = 1 every offset up to m is kept
@@ -235,7 +243,7 @@ def lattice_shifts(grid: GridSpec, max_norm: float, budget: int = None) -> np.nd
         stride = int(np.ceil(len(shifts) / max(budget - len(extremes), 1)))
         thinned = shifts[::stride]
         shifts = np.unique(np.vstack([thinned] + [np.asarray(extremes)]), axis=0)
-    return shifts * grid.dx
+    return read_only(shifts * grid.dx)[0]
 
 
 @dataclass(frozen=True)
@@ -310,14 +318,16 @@ class CylinderWindow:
         return CylinderSamples(xrel=self.xrel, values=vals)
 
 
+@functools.lru_cache(maxsize=None)  # shared: the arrays are read-only
 def ball_offsets(grid: GridSpec, r: float) -> tuple:
     """(offs, inball, pts) of the ball |x| < r around a node: its bounding
     box's offsets per axis, the in-ball mask over the box, and the in-ball
-    lattice offsets, one row each in row-major box order."""
+    lattice offsets, one row each in row-major box order; built once per
+    (grid, r)."""
     m = int(math.ceil(r / grid.dx)) - 1
     pts = _lattice_offsets(grid.dim, m)
     inball = np.linalg.norm(pts * grid.dx, axis=1) < r - 1e-12
-    return np.arange(-m, m + 1), inball.reshape((2 * m + 1,) * grid.dim), pts[inball]
+    return read_only(np.arange(-m, m + 1), inball.reshape((2 * m + 1,) * grid.dim), pts[inball])
 
 
 def cylinder_window(f: SpaceTimeField, cyl: ParabolicCylinder) -> CylinderWindow:
@@ -501,8 +511,7 @@ class Mollifier:
         def embed(kern):
             full = np.zeros(grid.shape)
             np.add.at(full, np.ix_(*[offs % n] * d), kern)
-            full.flags.writeable = False
-            return full
+            return read_only(full)[0]
 
         return Mollifier(
             grid=grid,

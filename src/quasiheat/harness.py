@@ -450,7 +450,7 @@ def draw_basepoints(
     eligible = np.nonzero((times >= t_min - 1e-12) & (times <= t_max + 1e-12))[0]
     eligible = eligible[eligible > 0]
     if len(eligible) == 0:
-        raise ConfigError("no snapshot times in the basepoint window")
+        raise ConfigError(f"no snapshot times after t = 0 in the basepoint window [{t_min}, {t_max}]")
     rng = Generator(Philox(key=np.array([seed, _BASEPOINT_TAG], dtype=np.uint64)))
     out = []
     used = set()
@@ -527,10 +527,8 @@ def _theorem1(run: _Run) -> None:
             errors.append({"seed": seed, "error": str(exc)})
             continue
 
-        zs = draw_basepoints(
-            grid, u.gradient.times, int(p["basepoints"]), seed,
-            t_min=p["t_min_frac"] * grid.t_end, t_max=min(grid.t_end, NOISE_END),
-        )
+        zs = draw_basepoints(grid, u.gradient.times, int(p["basepoints"]), seed,
+                             *_basepoint_window(grid, p))
         coeffs = [freeze(A, u.gradient_at(z)) for z in zs]
         slabs = [_model_rows(u.gradient, z, reg.radii[-1]) for z in zs]
         for z, slab, va in zip(zs, slabs, solve_anisotropic_batch(path, coeffs, rows=slabs)):
@@ -893,12 +891,29 @@ def _check_noise_diag(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityPara
     _checked(check_diagnostics_size, grid, int(cfg.params["n_samples"]), int(cfg.params["max_lag"]))
 
 
+def _basepoint_window(grid: GridSpec, p: dict) -> tuple:
+    """theorem1's (t_min, t_max) of the basepoint times."""
+    return p["t_min_frac"] * grid.t_end, min(grid.t_end, NOISE_END)
+
+
 def _check_theorem1(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
     _check_radii(grid, reg, len(reg.radii) >= MIN_RADII, f"theorem1 fits slopes over at least {MIN_RADII} radii")
+    p = cfg.params
+    if p["basepoints"] < 1:
+        raise ConfigError(f"params.basepoints must be at least 1, got {p['basepoints']}")
+    if not 0 < p["pass_fraction"] <= 1:  # 0 passes anything, above 1 nothing
+        raise ConfigError(f"params.pass_fraction must lie in (0, 1], got {p['pass_fraction']}")
+    try:  # on the snapshot times that every solve keeps
+        draw_basepoints(grid, grid.snapshot_times(), 0, 0, *_basepoint_window(grid, p))
+    except ConfigError as exc:
+        raise ConfigError(f"params.t_min_frac = {p['t_min_frac']}: {exc}") from exc
 
 
 def _check_lemmas(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityParams) -> None:
     _check_radii(grid, reg, bool(_small_radii(reg.radii)), "lemmas needs a radius r <= 1/8 with 3r < 1/2")
+    for key in ("n_random", "sim_basepoints"):  # a negative count would read as 0
+        if cfg.params[key] < 0:
+            raise ConfigError(f"params.{key} must be at least 0, got {cfg.params[key]}")
     if reg.pair_budget < 10:  # its box seminorms take pair_budget // 10
         raise ConfigError(f"lemmas needs regularity.pair_budget >= 10, got {reg.pair_budget}")
 

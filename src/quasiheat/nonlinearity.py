@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .grid import SpaceTimeField, increment
+from .grid import SpaceTimeField, increment, read_only
 
 
 class NonlinearityError(ValueError):
@@ -222,9 +222,7 @@ class FrozenCoefficient:
             )
         if np.linalg.norm(a, ord=2) > 1.0 + 1e-9:
             raise NonlinearityError("frozen coefficient violates |a eta| <= |eta|")
-        av = a.view()
-        av.flags.writeable = False
-        object.__setattr__(self, "matrix", av)
+        object.__setattr__(self, "matrix", read_only(a.view())[0])
 
 
 def freeze(A: Nonlinearity, grad_u_at_z) -> FrozenCoefficient:

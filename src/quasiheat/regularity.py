@@ -20,6 +20,7 @@ the discrete sup.  All sampling is deterministic given the parameters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,12 +33,14 @@ from .grid import (
     GridSpec,
     ParabolicCylinder,
     SpaceTimeField,
+    ball_offsets,
     cylinder_samples,
     cylinder_window,
     increment,
     lattice_shifts,
     mollify,
     mollify_deriv,
+    read_only,
 )
 from .nonlinearity import Nonlinearity, increment_averaged_coefficient
 
@@ -77,9 +80,7 @@ class RegularityParams:
         radii = np.sort(np.asarray(self.radii, dtype=float))
         if len(radii) == 0:
             raise RegularityError("empty radius set")
-        rv = radii.view()
-        rv.flags.writeable = False
-        object.__setattr__(self, "radii", rv)
+        object.__setattr__(self, "radii", read_only(radii.view())[0])
 
     @staticmethod
     def for_grid(
@@ -134,6 +135,18 @@ def _dyadic_classes(dim: int, n_space: int, n_time: int, dx: float, snap_dt: flo
     return classes
 
 
+@functools.lru_cache(maxsize=None)  # shared: the arrays are read-only
+def _pairs(grid: GridSpec, r: Optional[float]) -> tuple:
+    """The pair table of every node of the torus (r None) or of the in-ball
+    nodes of a ball's box, built once per (grid, r): anchor and partner node
+    indices (row-major), each class's start and each class's distance."""
+    inball = np.ones(grid.shape, bool) if r is None else ball_offsets(grid, r)[1]
+    nodes = np.flatnonzero(inball)
+    anchor, partner, starts, classes = _pair_table(np.argwhere(inball), grid.n if r is None else 0)
+    space = tuple(math.hypot(*[s * grid.dx for s in c]) for c in classes.tolist())
+    return read_only(nodes[anchor], nodes[partner], starts) + (space,)
+
+
 def _pair_table(coords: np.ndarray, wrap: int) -> tuple:
     """Every ordered pair (anchor, partner) of the nodes at integer ``coords``
     (a row each), sorted by class: the |shift| vector, per axis
@@ -161,10 +174,11 @@ def holder_seminorm(
     """Discrete parabolic Hoelder seminorm sup |f(z)-f(z')| / d(z,z')^alpha.
 
     With n_anchors^2 <= 8 * pair_budget it is exact over every grid pair: a
-    pair table lists every ordered pair of nodes (every node of the torus, the
-    in-ball nodes of a box) sorted by class, the |shift| vector, and each time
-    shift st reduces |f(t + st, partner) - f(t, anchor)|, gathered in chunks,
-    to a max per pair, then per class (``np.maximum.reduceat``).  Otherwise
+    pair table, built once per (grid, radius) and read-only, lists every
+    ordered pair of nodes (every node of the torus, the in-ball nodes of a
+    box) sorted by class, the |shift| vector, and each time shift st reduces
+    |f(t + st, partner) - f(t, anchor)|, gathered in chunks, to a max per
+    pair, then per class (``np.maximum.reduceat``).  Otherwise
     pairs are enumerated by offset classes on dyadic scales, decimated on the
     torus by a deterministic time-axis stride beyond the budget: a lower bound.
 
@@ -197,14 +211,7 @@ def holder_seminorm(
     best = 0.0
     # the offsets of a field or a box are as many as its anchors
     if n_anchors * n_anchors <= pair_budget * 8:
-        if region is None:
-            coords, nodes = np.indices((n_space,) * dim).reshape(dim, -1).T, np.arange(n_nodes)
-        else:
-            coords, nodes = np.argwhere(win.inball), np.flatnonzero(win.inball)
-        anchor, partner, starts, classes = _pair_table(coords, 0 if region is not None else grid.n)
-        anchor, partner = nodes[anchor], nodes[partner]
-        dx = grid.dx
-        space = [math.hypot(*[s * dx for s in c]) for c in classes.tolist()]
+        anchor, partner, starts, space = _pairs(grid, None if region is None else region.r)
         flat = vals.reshape(n_time, n_nodes, -1).transpose(0, 2, 1)  # (time, component, node)
         for st in range(n_time):
             first = 0 if st else 1  # the zero class, at distance 0 when st = 0

@@ -7,10 +7,12 @@ from quasiheat.grid import (
     Mollifier,
     ParabolicCylinder,
     SpaceTimeField,
+    ball_offsets,
     cc_distance,
     cylinder_samples,
     cylinder_window,
     increment,
+    lattice_shifts,
     mollify,
     mollify_deriv,
     spectral_gradient,
@@ -387,6 +389,36 @@ def test_cylinder_window_box_holds_the_samples(dim):
     cs = cylinder_samples(f, cyl)
     assert box.shape[0] == cs.values.shape[0]
     assert np.array_equal(box[:, w.inball], cs.values)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cached_geometry_is_a_fresh_build_bit_for_bit(dim):
+    # radii off the lattice steps, and pairs that meet one m: 6/64 and 0.1 are
+    # 6 and 6.4 steps at n = 64, 3/16 and 0.2 are 6 and 6.4 at n = 32
+    for n in (8, 16, 32, 64, 128):
+        grid = GridSpec.create(dim, n)
+        radii = [k * grid.dx for k in (0.7, 1.5, 2.5, 4.0, 6.4)] + [6 / 64, 0.1, 3 / 16, 0.2]
+        for r in radii + radii[::-1]:
+            assert all(map(same_bits, ball_offsets(grid, r), ball_offsets.__wrapped__(grid, r)))
+            for budget in (None, 1, 4, 16):
+                fresh = lattice_shifts.__wrapped__(grid, r, budget=budget)
+                assert same_bits(lattice_shifts(grid, r, budget=budget), fresh)
+    grid = GridSpec.create(dim, 64)
+    near, far = ball_offsets(grid, 6 / 64), ball_offsets(grid, 0.1)  # m = 5, then 6
+    assert len(near[0]) == 11 and len(far[0]) == 13
+    assert all(map(same_bits, far, ball_offsets.__wrapped__(grid, 0.1)))
+
+
+def test_cached_geometry_is_read_only():
+    grid = GridSpec.create(2, 32)
+    for a in ball_offsets(grid, 0.1) + (lattice_shifts(grid, 0.1, budget=4),
+                                        lattice_shifts(grid, 1e-3)):
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_cylinder_radius_bound():

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -410,6 +411,38 @@ def test_refined_lemma_run_solves_once_per_seed_on_the_base_grid(tmp_path, monke
     assert log.read_text().splitlines() == [repr(cfg.build_grid())] * 2
 
 
+def test_lemma_corpus_pass_builds_each_geometry_once(monkeypatch):
+    # the two primitives under every ball, shift set and pair table are
+    # recorded through their module bindings, as the regularity tests count
+    # windows, each with the function that called it and that function's
+    # arguments: a cache's key.  A key built twice, or a build outside the
+    # caches, is a caller that bypasses them.
+    import quasiheat.grid as grid_mod
+    import quasiheat.regularity as reg_mod
+    from quasiheat.harness import _lemma_constants
+
+    builds = []
+    for module, name in ((grid_mod, "_lattice_offsets"), (reg_mod, "_pair_table")):
+        def recorded(*args, build=getattr(module, name)):
+            caller = sys._getframe(1)
+            code = caller.f_code
+            builds.append((code.co_name,) + tuple(caller.f_locals[v] for v in
+                                                  code.co_varnames[:code.co_argcount]))
+            return build(*args)
+        monkeypatch.setattr(module, name, recorded)
+    caches = (grid_mod.ball_offsets, grid_mod.lattice_shifts, reg_mod._pairs)
+    for cache in caches:
+        cache.cache_clear()
+    cfg = ExperimentConfig.from_dict({"experiment": "lemmas", "grid": {"n": 32},
+                                      "params": {"n_random": 2}})
+    _lemma_constants(cfg, cfg.build_grid(), [])
+    assert len(set(builds)) == len(builds)
+    for cache in caches:
+        built = [b for b in builds if b[0] == cache.__name__]
+        assert built and len(built) == cache.cache_info().misses < cache.cache_info().hits
+    assert {b[0] for b in builds} == {cache.__name__ for cache in caches}
+
+
 def test_unknown_params_and_regularity_keys_rejected():
     with pytest.raises(ConfigError, match="basepoint"):
         ExperimentConfig.from_dict({"experiment": "theorem1", "params": {"basepoint": 4}})
@@ -612,13 +645,26 @@ def test_a_smallest_cylinder_too_small_to_fit_is_a_config_error(case, tmp_path, 
     ("regularity.pair_budget=0", "pair_budget must be at least 1"),
     ("regularity.y_budget=0", "y_budget must be at least 1"),
     ("nonlinearity.kappa=5", "kappa"),
+    # each of these params values used to validate, then fail the run after
+    # its sweep, or pass without measuring what the key names
+    ("params.basepoints=0", "params.basepoints"),
+    ("params.basepoints=-3", "params.basepoints"),
+    ("params.t_min_frac=1.5", "params.t_min_frac"),
+    ("params.pass_fraction=2", "params.pass_fraction"),
+    ("params.pass_fraction=0", "params.pass_fraction"),
+    ("params.n_random=-2", "params.n_random"),
+    ("params.sim_basepoints=-1", "params.sim_basepoints"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, monkeypatch, capsys, dotted, match):
-    assert cli_main(["validate-config", "--set", dotted]) == 2
-    assert "config error" in capsys.readouterr().err
+    key = dotted.split("=")[0].split(".")[1]
+    experiment = "lemmas" if key in ("n_random", "sim_basepoints") else "theorem1"
+    sets = ["--set", dotted]
+    assert cli_main(["validate-config", "--experiment", experiment] + sets) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
     _no_sweep(monkeypatch)
     out = tmp_path / "out"
-    assert cli_main(["theorem1", "--seed", "1", "--set", dotted, "--output-dir", str(out)]) == 2
+    assert cli_main([experiment, "--seed", "1", "--output-dir", str(out)] + sets) == 2
     assert match in capsys.readouterr().err
     assert not out.exists()
 

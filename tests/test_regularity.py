@@ -25,6 +25,7 @@ from quasiheat.regularity import (
     RegularityError,
     RegularityParams,
     _pair_table,
+    _pairs,
     baseline_remainder,
     flux_mismatch,
     holder_seminorm,
@@ -150,6 +151,29 @@ def test_exhaustive_torus_table_holds_each_ordered_pair_once():
     vals[0, 0, 0], vals[0, 7, 0] = 1.0, -1.0
     f = SpaceTimeField(grid, grid.snapshot_times()[:1], vals)
     assert holder_seminorm(f, 0.75) == 2.0 / grid.dx**0.75
+
+
+def same_table(a, b) -> bool:
+    """Bitwise equality of two pair tables: three index arrays, then distances."""
+    arrays = all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                 for x, y in zip(a[:3], b[:3]))
+    return arrays and np.array(a[3]).tobytes() == np.array(b[3]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cached_pair_tables_are_fresh_builds_bit_for_bit(dim):
+    # box radii off the lattice steps; 6/64 and 0.1 are 6 and 6.4 steps at n = 64
+    for n in (8, 16, 32, 64, 128):
+        grid = GridSpec.create(dim, n)
+        radii = [k * grid.dx for k in (0.7, 1.5, 2.5, 4.4)] + [6 / 64, 0.1]
+        for r in radii + radii[::-1] + [None] * (n**dim <= 256):  # None: the torus
+            assert same_table(_pairs(grid, r), _pairs.__wrapped__(grid, r))
+    grid = GridSpec.create(dim, 64)
+    near, far = _pairs(grid, 6 / 64), _pairs(grid, 0.1)
+    assert len(far[0]) > len(near[0]) and same_table(far, _pairs.__wrapped__(grid, 0.1))
+    for a in far[:3] + _pairs(GridSpec.create(dim, 8), None)[:3]:
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_seminorm_budget_is_lower_bound():
