@@ -30,7 +30,6 @@ from .fitting import AffineModel, ScalarAffine, chebyshev_center, fit_affine_gra
 from .regularity import (
     ModellingReport,
     RegularityParams,
-    baseline_remainder,
     flux_mismatch,
     holder_seminorm,
     increment_affine_pair,
@@ -57,7 +56,7 @@ __all__ = [
     "increment_averaged_coefficient", "linear_family", "sine_family", "validate",
     "AffineModel", "ScalarAffine", "chebyshev_center", "fit_affine_gradient",
     "fit_affine_scalar",
-    "ModellingReport", "RegularityParams", "baseline_remainder", "flux_mismatch",
+    "ModellingReport", "RegularityParams", "flux_mismatch",
     "holder_seminorm", "increment_affine_pair", "increment_constant",
     "modelling_remainder", "time_term_constant",
     "Trajectory", "solve_anisotropic_batch",

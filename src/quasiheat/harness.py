@@ -114,6 +114,13 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_distinct(name: str, values: list) -> None:
+    """A run sweeps each listed value once: a repeat would count it twice."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{name} lists {repeated[0]!r} more than once; list each value once")
+
+
 def _omitted(section: str):
     """An omitted section is stored as its defaults without the None ones."""
     return field(default_factory=lambda: {k: v for k, v in DEFAULTS[section].items()
@@ -934,6 +941,7 @@ def _check_apriori_sweep(cfg: ExperimentConfig, grid: GridSpec, reg: RegularityP
     sigmas = [float(s) for s in cfg.params["sigmas"]]
     if not sigmas:
         raise ConfigError("params.sigmas is empty: the sweep would check nothing")
+    _check_distinct("params.sigmas", sigmas)
     for sigma in sigmas:
         cfg.build_noise_spec(0, sigma=sigma)
     if cfg.params["refine"] and 1.0 not in sigmas:
@@ -988,6 +996,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     A = cfg.build_nonlinearity()
     cert = validate(A)
     spec = [cfg.build_noise_spec(seed) for seed in cfg.seeds or [0]][0]
+    _check_distinct("seeds", [int(s) for s in cfg.seeds])
     reg = cfg.build_regularity(grid)
     EXPERIMENTS[cfg.experiment].check(cfg, grid, reg)
     return {

@@ -10,7 +10,7 @@ produces numbers that discretize sup-type quantities:
 * the per-basepoint modelling remainder, i.e. how well the gradient of the
   difference between the nonlinear solution and its frozen-coefficient model
   is approximated by an affine map on shrinking cylinders, and the no-model
-  baseline oscillation it is contrasted with.
+  baseline oscillation it is contrasted with, on the same samples.
 
 Sup norms over cylinders are exact over the grid samples, in d = 1 and d = 2;
 seminorms are exact over every grid pair when a field or box has few enough
@@ -428,8 +428,10 @@ def modelling_remainder(
     The constant term is pinned to the basepoint value of the difference
     gradient (its optimal limit); a free-constant fit is kept as the
     recovery cross-check.  Returns the residual table, the r^(-2 alpha)
-    normalized sup M_z, the log-log slope, and the stability replay of the
-    smallest-radius model across all radii.  The two fields may be the same
+    normalized sup M_z, the log-log slope, the stability replay of the
+    smallest-radius model across all radii, and the no-model baseline: the
+    RMS of grad u - grad u(z), which unlike the sup does not grow with the
+    sample count of shrinking cylinders.  The two fields may be the same
     window of snapshot rows if it holds every cylinder's slab and starts at
     t = 0 when a slab reaches below it; ``degenerate`` reads that window.
     """
@@ -440,10 +442,13 @@ def modelling_remainder(
     t0, x0 = z
     gw = SpaceTimeField(grad_u.grid, grad_u.times, grad_u.values - grad_v_a.values)
     b_ref = np.asarray(gw.value_at(t0, x0), dtype=float).reshape(-1)
+    u_ref = np.asarray(grad_u.value_at(t0, x0), dtype=float)
 
-    residuals, residuals_free, models, stability = [], [], [], []
+    residuals, residuals_free, models, stability, baseline = [], [], [], [], []
     for r in params.radii:
-        x, v = cylinder_samples(gw, ParabolicCylinder(t=t0, x=x0, r=float(r))).flat()
+        # gw shares grad u's grid and times, so one window serves both
+        win = cylinder_window(gw, ParabolicCylinder(t=t0, x=x0, r=float(r)))
+        x, v = win.samples(gw.values).flat()
         pinned = fit_affine_gradient(x, v, pin_b=b_ref)
         free = fit_affine_gradient(x, v)
         if not models:  # the smallest radius
@@ -453,12 +458,12 @@ def modelling_remainder(
         models.append(pinned.model)
         # the smallest-radius model replayed at this radius
         stability.append(float(np.max(np.abs(v - models[0](x)))))
+        diff = win.samples(grad_u.values).values - u_ref
+        baseline.append(float(np.sqrt(np.mean(diff * diff))))
 
     m_z = max(res / float(r) ** (2.0 * params.alpha) for res, r in zip(residuals, params.radii))
     degenerate = float(np.max(np.abs(gw.values))) <= 1e-12 or max(residuals) <= 1e-12
     slope = None if degenerate else _loglog_slope(params.radii, residuals)
-
-    base_slope, base_vals = baseline_remainder(grad_u, z, params)
     inc_n = increment_constant(gw, z, params, spacetime=True) if with_increment_constant else None
 
     return BasepointReport(
@@ -471,35 +476,12 @@ def modelling_remainder(
         m_z=float(m_z),
         b_gap=b_gap,
         b_reference=[float(v) for v in b_ref],
-        baseline_slope=base_slope,
-        baseline_values=[float(v) for v in base_vals],
+        baseline_slope=_loglog_slope(params.radii, baseline),
+        baseline_values=baseline,
         stability_residuals=stability,
         degenerate=bool(degenerate),
         increment_n=inc_n,
     )
-
-
-def baseline_remainder(
-    grad_u: SpaceTimeField,
-    z: tuple,
-    params: RegularityParams,
-) -> tuple:
-    """No-model control: oscillation of grad u around its basepoint value.
-
-    Measured as the root-mean-square of grad u - grad u(z) over the cylinder
-    samples; unlike the raw sup, the RMS does not inherit the
-    sample-count growth of shrinking cylinders, so its log-log slope tracks
-    the field's actual Hoelder exponent.  Returns (slope or None, table).
-    """
-    t0, x0 = z
-    ref = np.asarray(grad_u.value_at(t0, x0), dtype=float)
-    vals = []
-    for r in params.radii:
-        cs = cylinder_samples(grad_u, ParabolicCylinder(t=t0, x=x0, r=float(r)))
-        diff = cs.values - ref
-        vals.append(float(np.sqrt(np.mean(diff * diff))))
-    slope = _loglog_slope(params.radii, vals)
-    return slope, vals
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,28 @@ def test_out_of_range_values_are_config_errors(tmp_path, monkeypatch, capsys, do
     assert not out.exists()
 
 
+# a repeat used to validate, and the run swept it twice: theorem1 counted each
+# slope twice, and apriori-sweep wrote duplicate sweep.csv rows
+@pytest.mark.parametrize("experiment,args,match", [
+    ("theorem1", ["--seed", "1", "--seed", "1"], "seeds lists 1 more than once"),
+    ("theorem1", ["--set", "seeds=[2, 3, 2]"], "seeds lists 2 more than once"),
+    ("apriori-sweep", ["--seed", "1", "--set", "params.sigmas=[1.0, 0.5, 1]"],
+     "params.sigmas lists 1.0 more than once"),
+])
+def test_repeated_seeds_and_sigmas_are_config_errors(tmp_path, monkeypatch, capsys,
+                                                     experiment, args, match):
+    assert cli_main(["validate-config", "--experiment", experiment] + args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
+    _no_sweep(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--output-dir", str(out)] + args) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+    distinct = ["--seed", "1", "--seed", "2", "--set", "params.sigmas=[0.5, 1.0]"]
+    assert cli_main(["validate-config", "--experiment", "apriori-sweep"] + distinct) == 0
+
+
 def test_windowed_models_give_the_whole_field_basepoint_reports():
     """v_a keeps the rows of (t' - r_max^2, t'] and grad u is read on the same
     rows; the reports equal those on whole fields, also when the slab reaches

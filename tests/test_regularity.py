@@ -26,7 +26,6 @@ from quasiheat.regularity import (
     RegularityParams,
     _pair_table,
     _pairs,
-    baseline_remainder,
     flux_mismatch,
     holder_seminorm,
     increment_affine_pair,
@@ -616,11 +615,18 @@ def test_modelling_remainder_requires_four_radii():
         modelling_remainder(u.gradient, va.gradient, z, reg)
 
 
+def against_zero(grad):
+    """A zero model gradient on grad's times: modelling_remainder then reads
+    grad alone, and its baseline is grad's."""
+    return SpaceTimeField(grad.grid, grad.times, np.zeros_like(grad.values))
+
+
 def test_baseline_constant_gradient_degenerate():
     grid = GridSpec.create(1, 128)
     entry = corpus_entry(grid, "affine")
     reg = params_for(grid)
-    slope, vals = baseline_remainder(entry.gradient, entry.basepoint, reg)
+    rep = modelling_remainder(entry.gradient, against_zero(entry.gradient), entry.basepoint, reg)
+    slope, vals = rep.baseline_slope, rep.baseline_values
     assert slope is None
     assert max(vals) <= 1e-12
 
@@ -636,8 +642,47 @@ def test_baseline_recovers_cusp_exponent(monkeypatch):
         if e.name == "smoothed-cusp"
     ][0]
     reg = params_for(grid)
-    slope, _ = baseline_remainder(entry.gradient, entry.basepoint, reg)
+    rep = modelling_remainder(entry.gradient, against_zero(entry.gradient), entry.basepoint, reg)
+    slope = rep.baseline_slope
     assert slope == pytest.approx(0.75, abs=0.1)
+
+
+def random_gradient_pair(dim):
+    """Random grad u and grad v_a on the first 120 snapshots of an n = 64 grid
+    (r_max^2 is 16 snapshots), and x' = 0.5 on each axis."""
+    grid = GridSpec.create(dim, 64)
+    times = grid.snapshot_times()[:120]
+    rng = np.random.default_rng(11 + dim)
+    shape = (len(times),) + grid.shape + (dim,)
+    grad_u, grad_v = (SpaceTimeField(grid, times, rng.normal(size=shape)) for _ in range(2))
+    reg = RegularityParams.for_grid(grid, 0.75, r_min_factor=2)
+    return grad_u, grad_v, 0.5 if dim == 1 else (0.5, 0.5), reg
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_baseline_is_the_rms_of_grad_u_on_each_cylinder(dim):
+    grad_u, grad_v, x0, reg = random_gradient_pair(dim)
+    # t' = times[8]: the larger slabs reach below t = 0 (zero-extension rows)
+    below = ParabolicCylinder(t=float(grad_u.times[8]), x=x0, r=float(reg.radii[-1]))
+    assert cylinder_window(grad_u, below).n_below > 0
+    for t0 in (float(grad_u.times[8]), float(grad_u.times[100])):
+        rep = modelling_remainder(grad_u, grad_v, (t0, x0), reg)
+        ref = np.asarray(grad_u.value_at(t0, x0), dtype=float)
+        want = []
+        for r in reg.radii:
+            diff = cylinder_samples(grad_u, ParabolicCylinder(t=t0, x=x0, r=float(r))).values - ref
+            want.append(float(np.sqrt(np.mean(diff * diff))))
+        assert np.array(rep.baseline_values).tobytes() == np.array(want).tobytes()
+        assert rep.baseline_slope == quasiheat.regularity._loglog_slope(reg.radii, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_modelling_remainder_builds_one_window_per_radius(dim, monkeypatch):
+    grad_u, grad_v, x0, reg = random_gradient_pair(dim)
+    radii = record_windows(monkeypatch)
+    z = (float(grad_u.times[8]), x0)
+    modelling_remainder(grad_u, grad_v, z, reg, with_increment_constant=False)
+    assert radii == [float(r) for r in reg.radii]
 
 
 def _comp_abs(diff, n_lead):
