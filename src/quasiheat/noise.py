@@ -8,8 +8,9 @@ field with mode variance dt*K_hat(k), and every later one is zero.
 Increments are never stored but regenerated from a counter-based stream
 keyed by (master_seed, step), so any step can be resampled bit-exactly in
 any order or block (``NoisePath.increments``), and paths built from one
-spec agree bit for bit.  A path is not thread-safe; ``NoisePath.stream`` draws
-ahead in forked workers, one per usable core, each with its own copy of it.
+spec agree bit for bit.  A path is not thread-safe; ``NoisePath.stream`` yields
+one increment per step, drawn ahead in slots of whole blocks by forked workers,
+one per usable core, each with its own copy of it; a consumer sees no slots.
 The mode layout, the transforms and the half-spectrum folding belong to
 ``grid.Spectral``; this module owns no frequencies of its own.
 """
@@ -31,7 +32,7 @@ from .grid import GridSpec, Spectral
 
 NOISE_END = 1.0  # the noise acts on 0 <= t < NOISE_END
 BATCH_MAX_POINTS = 1024  # rows up to this many points batch an interval's transforms
-SLOT_BYTES = 2**20  # a stream slot takes blocks up to this size: one pipe wake-up per slot
+SLOT_BYTES = 2**19  # a stream slot takes blocks up to this size: one pipe wake-up per slot
 SLOTS_PER_WORKER = 4
 
 
@@ -143,18 +144,17 @@ class NoisePath:
 
     @property
     def slot_steps(self) -> int:
-        """Steps per ``stream`` slot: whole blocks dividing ``snap_stride``, within SLOT_BYTES."""
-        steps, row_bytes = self.block_steps, self._amp.size * 16
-        while self.grid.snap_stride % (2 * steps) == 0 and 2 * steps * row_bytes <= SLOT_BYTES:
-            steps *= 2
-        return steps
+        """Steps per ``stream`` slot: whole blocks, at most a snapshot interval and within
+        SLOT_BYTES (one block if that is larger); a slot need not divide the interval."""
+        block, row_bytes = self.block_steps, self._amp.size * 16
+        return block * max(1, min(self.grid.snap_stride // block, SLOT_BYTES // (block * row_bytes)))
 
     @contextmanager
     def stream(self, n_steps: int):
-        """Iterator of (stop, rows) over steps 0..n_steps-1: rows, read-only and valid until
-        the next item, are the ``increments`` of the ``slot_steps`` (fewer at the end) steps
-        before stop.  Forked workers, one per usable core with its own copy of the path, fill
-        every W-th slot of a shared ring; pipes say slot ready and slot free; all are reaped."""
+        """Iterator of the ``increments`` rows of steps 0..n_steps-1, one a step, each
+        read-only and valid until the next item.  Forked workers, one per usable core with its
+        own copy of the path, fill every W-th slot of ``slot_steps`` steps in a shared ring;
+        pipes say slot ready and slot free; all are reaped."""
         slot, n_slots = self.slot_steps, -(-n_steps // self.slot_steps)
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         n_workers = min(cores or 1, n_slots)
@@ -185,7 +185,7 @@ class NoisePath:
                         error = b"".join(iter(lambda: os.read(ready, 4096), b"")).decode(errors="replace")
                         raise NoiseError(f"noise worker {i % n_workers} failed: "
                                          f"{error or f'exited before step {start}'}")
-                    yield min(start + slot, n_steps), ring[i % depth, :n_steps - start]
+                    yield from ring[i % depth, :n_steps - start]
                     if i + depth < n_slots:
                         os.write(free, b"-")
 
@@ -284,8 +284,8 @@ def covariance_diagnostics(path: NoisePath, n_samples: int, max_lag: int = 4) ->
     white_acc = 0.0
     imag_max = 0.0
     prev = None
-    with path.stream(n_samples) as blocks:
-        for i, hat in enumerate(hat for _, rows in blocks for hat in rows):
+    with path.stream(n_samples) as increments:
+        for i, hat in enumerate(increments):
             f = sp.to_phys(hat) * inv_sqrt_dt
             # realness residue measured on the explicitly mirrored full spectrum
             if i < 8:

@@ -1,8 +1,8 @@
 """Time integration of the quasilinear equation and its linear models.
 
 Three equations share one noise path, and one engine advances any mix of
-them in a single sweep while ``NoisePath.stream``'s forked workers, one per
-usable core with its own copy of the path, draw the increments of the next steps:
+them in a single sweep that takes one ``NoisePath.stream`` increment a step
+and snapshots by step count; the slots the stream draws ahead in are its own:
 
 * nonlinear:   du/dt = div A(grad u) + xi
 * heat:        dv/dt = Lap v + xi
@@ -95,8 +95,8 @@ def solve_anisotropic_batch(
     dt comes from the path's grid and must satisfy cfl <= 1/4.
     ``rows[i]`` None (the default) keeps member i's state and gradient at
     every snapshot; a slice of snapshot rows keeps only its gradient there.
-    The sweep stops after the last kept row, and every member is checked for
-    finiteness at every snapshot, kept or not.
+    Snapshots fall every ``snap_stride`` steps; the sweep stops at the last kept
+    row, and every member is checked for finiteness at every snapshot, kept or not.
     """
     return _sweep(path, members, rows)
 
@@ -127,7 +127,6 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
     if len(spans) != len(members) or any(s.step != 1 or not s for s in spans):
         raise SolverError("rows must give each member None or a nonempty run of snapshot rows")
     last = max(s[-1] for s in spans)
-    n_steps = grid.n_steps if last == len(times) - 1 else last * grid.snap_stride
 
     # the flux row decays by |k|^2; numpy's cast per product, once
     decay = np.stack([np.exp(-sp.symbol(None if i in flux else _coeff_matrix(m)) * dt)
@@ -145,18 +144,17 @@ def _sweep(path: NoisePath, members, rows) -> List[Trajectory]:
                 grad[row - span.start] = sp.gradient_phys(hat)
 
     snapshot(0)
-    with path.stream(n_steps) as increments:
-        for stop, rows in increments:
-            for dw in rows:
-                for f in flux:
-                    g = sp.gradient_phys(h[f])
-                    h[f] += dt * sp.divergence_hat(A.ev(g) - g)
-                np.multiply(decay, h, out=h)
-                h += dw
-            if stop % grid.snap_stride == 0:
+    with path.stream(last * grid.snap_stride) as increments:
+        for step, dw in enumerate(increments, 1):
+            for f in flux:
+                g = sp.gradient_phys(h[f])
+                h[f] += dt * sp.divergence_hat(A.ev(g) - g)
+            np.multiply(decay, h, out=h)
+            h += dw
+            if step % grid.snap_stride == 0:
                 if not np.all(np.isfinite(h)):
-                    raise SolverDivergenceError(stop - 1)
-                snapshot(stop // grid.snap_stride)
+                    raise SolverDivergenceError(step - 1)
+                snapshot(step // grid.snap_stride)
 
     return [
         Trajectory(None if state is None else SpaceTimeField(grid, times, state),

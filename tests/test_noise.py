@@ -7,6 +7,8 @@ import pytest
 from quasiheat.grid import GridSpec, Spectral
 from quasiheat.noise import (
     BATCH_MAX_POINTS,
+    SLOT_BYTES,
+    SLOTS_PER_WORKER,
     NoiseError,
     NoisePath,
     NoiseSpec,
@@ -201,25 +203,34 @@ def test_block_rows_are_the_bytes_of_increment_hat(dim, n, substeps, sigma):
             assert row.tobytes() == path.increment_hat(step).tobytes()
     assert np.any(path.increments(end - 1, end + 1)[0]) == (sigma > 0)
     assert not np.any(path.increments(end - 1, end + 1)[1])
-    # the stream: in step order, whole slots but the last; straddling t = 1
+    # the stream: one read-only row a step, in step order; straddling t = 1
     # and ending mid-slot, then whole slots
     assert (end + 30) % path.slot_steps
     for n_steps in (end + 30, 2 * path.slot_steps):
-        step = 0
         with path.stream(n_steps) as items:
-            for stop, rows in items:
-                assert len(rows) == min(path.slot_steps, n_steps - step) and stop == step + len(rows)
-                for row in rows:
-                    assert row.tobytes() == path.increment_hat(step).tobytes()
-                    step += 1
-        assert step == n_steps
+            for step, row in enumerate(items):
+                assert row.shape == path.amplitudes.shape and not row.flags.writeable
+                assert row.tobytes() == path.increment_hat(step).tobytes()
+        assert step == n_steps - 1
 
 
-def test_slot_steps_are_whole_blocks_dividing_the_stride_within_the_byte_cap():
-    assert make_path(n=64)[1].slot_steps == 64  # one 64-step block
-    assert make_path(n=64, dim=2)[1].slot_steps == 16  # 16 one-step blocks of 33 KiB
-    path = NoisePath(NoiseSpec(alpha=0.75, dim=2, master_seed=1), one_step_block_grid())
-    assert (path.block_steps, path.slot_steps) == (1, 4)
+@pytest.mark.parametrize("dim,n,block,slot,ring_bytes", [
+    (1, 64, 64, 64, 270_336),  # one 64-step block: a snapshot interval
+    (1, 256, 64, 64, 1_056_768),
+    (2, 64, 1, 15, 4_055_040),  # 15 one-step blocks of 33 KiB fit in SLOT_BYTES, 16 do not
+])
+def test_slot_steps_are_whole_blocks_within_an_interval_and_the_byte_cap(dim, n, block, slot, ring_bytes):
+    path = make_path(n=n, dim=dim)[1]
+    row_bytes = path.amplitudes.size * 16
+    assert (path.block_steps, path.slot_steps) == (block, slot)
+    assert slot <= path.grid.snap_stride and slot * row_bytes <= SLOT_BYTES
+    # the largest such slot: one more block breaks the interval or the byte cap
+    assert slot + block > path.grid.snap_stride or (slot + block) * row_bytes > SLOT_BYTES
+    assert 2 * SLOTS_PER_WORKER * slot * row_bytes == ring_bytes  # the ring on 2 cores
+    grid = one_step_block_grid()  # an interval of 4 steps bounds the slot before the bytes do
+    assert NoisePath(NoiseSpec(alpha=0.75, dim=2, master_seed=1), grid).slot_steps == grid.snap_stride
+    huge = make_path(n=1024)[1]  # a 64-step block over SLOT_BYTES is a slot of its own
+    assert huge.block_steps * huge.amplitudes.size * 16 > SLOT_BYTES and huge.slot_steps == 64
 
 
 def test_more_workers_than_cores_keep_every_byte_in_order(monkeypatch):
@@ -227,7 +238,7 @@ def test_more_workers_than_cores_keep_every_byte_in_order(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
     path = make_path(n=32)[1]
     n_steps = 23 * path.slot_steps + 7
-    got = []
+    got = bytearray()
 
     def stalled(signum, frame):
         raise TimeoutError("the stream stalled")
@@ -236,12 +247,12 @@ def test_more_workers_than_cores_keep_every_byte_in_order(monkeypatch):
     signal.alarm(60)
     try:
         with path.stream(n_steps) as items:
-            for stop, rows in items:
-                got.append(rows.copy())
+            for row in items:
+                got += row.tobytes()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert np.concatenate(got).tobytes() == path.increments(0, n_steps).tobytes()
+    assert bytes(got) == path.increments(0, n_steps).tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -259,9 +270,9 @@ def test_a_worker_error_names_its_step_and_every_worker_is_reaped(monkeypatch):
     seen = []
     with pytest.raises(NoiseError, match=r"steps \[37, 38\): FloatingPointError\('bad draw'\)"):
         with path.stream(100) as items:
-            for stop, _ in items:
-                seen.append(stop)
-    assert seen == [4, 8, 12, 16, 20, 24, 28, 32, 36]
+            for step, _ in enumerate(items):
+                seen.append(step)
+    assert path.slot_steps == 4 and seen == list(range(36))  # every step before step 37's slot
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -271,9 +282,9 @@ def test_a_consumer_error_mid_stream_reaps_every_worker(dim, n):
     path = make_path(n=n, dim=dim)[1]
     with pytest.raises(KeyError):
         with path.stream(path.grid.n_steps) as items:
-            for stop, _ in items:
-                if stop > 3 * path.slot_steps:
-                    raise KeyError(stop)
+            for step, _ in enumerate(items):
+                if step > 3 * path.slot_steps:
+                    raise KeyError(step)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

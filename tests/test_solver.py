@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from types import SimpleNamespace
 
@@ -6,8 +7,8 @@ import pytest
 
 import solver_reference as ref
 from quasiheat.grid import GridSpec
-from quasiheat.noise import NoisePath, NoiseSpec
-from quasiheat.nonlinearity import linear_family, sine_family
+from quasiheat.noise import NoisePath, NoiseSpec, covariance_diagnostics
+from quasiheat.nonlinearity import freeze, linear_family, sine_family
 from quasiheat.solver import (
     SolverDivergenceError,
     SolverError,
@@ -15,6 +16,7 @@ from quasiheat.solver import (
     solve_linear_constant,
     solve_nonlinear,
 )
+from test_noise import one_step_block_grid
 
 
 def setup(n=64, kappa=0.5, sigma=1.0, seed=5, cfl=0.25, dim=1, t_end=1.0):
@@ -357,3 +359,40 @@ def test_non_finite_initial_state_raises_at_the_first_snapshot_kept_or_not(rows,
     with pytest.raises(ChildProcessError):  # every worker of both sweeps is reaped
         os.waitpid(-1, os.WNOHANG)
 
+
+
+# ---- the sweep counts steps: a stream slot may start and stop anywhere in a snapshot interval
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_slots_that_straddle_snapshots_change_no_bit(dim, monkeypatch):
+    # d = 1, n = 32: 64-step blocks and intervals.  d = 2, n = 64: one-step
+    # blocks on 4-step intervals; the sweep needs cfl <= 1/4, so it takes
+    # dt = dx^2/4, and its row slabs stop it after 9 snapshots
+    spec = NoiseSpec(alpha=0.75, dim=dim, master_seed=3)
+    if dim == 1:
+        path = diag_path = NoisePath(spec, GridSpec.create(1, 32))
+        n_samples, rows = 4000, [None, None, slice(3, 9)]
+    else:
+        diag_path, n_samples = NoisePath(spec, one_step_block_grid()), 1000
+        path = NoisePath(spec, dataclasses.replace(one_step_block_grid(), dt=2.0**-14))
+        rows = [slice(0, 9), slice(2, 9), slice(3, 9)]
+    assert path.block_steps == (64 if dim == 1 else 1)
+    A = sine_family(dim, 0.5)
+    members = [A, None, freeze(A, np.full(dim, 0.3))]
+
+    def run():
+        return (solve_anisotropic_batch(path, members, rows),
+                covariance_diagnostics(diag_path, n_samples))
+
+    want, want_diag = run()
+    for slot in (5, 7):
+        monkeypatch.setattr(NoisePath, "slot_steps", slot)
+        got, diag = run()
+        assert diag == want_diag
+        for traj, ref_traj in zip(got, want):
+            assert (traj.state is None) == (ref_traj.state is None)
+            if traj.state is not None:
+                assert _bits_equal(traj.state.values, ref_traj.state.values)
+            assert _bits_equal(traj.gradient.values, ref_traj.gradient.values)
+            assert _bits_equal(traj.gradient.times, ref_traj.gradient.times)
